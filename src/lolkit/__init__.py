@@ -51,8 +51,10 @@ from .simulations import (
     sample,
 )
 from .benchmark import (
+    ALGORITHMS,
     ErrorCurve,
     FoldPlan,
+    fit_projection,
     load_csv,
     make_fold_plan,
     normalized_report,

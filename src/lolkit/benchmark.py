@@ -1,4 +1,5 @@
-"""Dataset ingestion, cross-validation protocol and comparison metrics.
+"""Dataset ingestion, the projection registry, cross-validation protocol
+and comparison metrics.
 
 The protocol: stratified k-fold assignment, per-fold training subsample
 of size min(floor(n (k-1) / k), p - 1), projections fitted once per fold
@@ -210,29 +211,42 @@ class ErrorCurve:
             return fun(self.rates, axis=0)
 
 
+# tag -> fit(dataset, d, *, svd_mode, seed).  The adapters look the
+# embeddings function up at call time, so a wrapper installed on the
+# module attribute sees the call.
 _SEEDED_FITS = {
     "lol": emb.fit_lol,
     "pca": emb.fit_pca,
     "rrlda": emb.fit_rrlda,
     "qoq": emb.fit_qoq,
     "rlol": emb.fit_rlol,
+    "lfl": lambda ds, d, *, svd_mode, seed: emb.fit_lfl(ds, d, seed=seed),
+    "rp": lambda ds, d, *, svd_mode, seed: emb.fit_rp(ds, d, seed=seed),
+    "cca": lambda ds, d, *, svd_mode, seed: emb.fit_lrcca(ds, min(d, ds.num_classes - 1)),
+    "pls": lambda ds, d, *, svd_mode, seed: emb.fit_pls(ds, min(d, ds.p, ds.n - 1)),
 }
 
-ALGORITHMS = ("lol", "pca", "rrlda", "qoq", "rlol", "lfl", "rp", "cca", "pls")
+ALGORITHMS = tuple(_SEEDED_FITS)
 
 
-def _fit_projection(tag, train, d, svd_mode, seed):
-    if tag in _SEEDED_FITS:
-        return _SEEDED_FITS[tag](train, d, svd_mode=svd_mode, seed=seed)
-    if tag == "lfl":
-        return emb.fit_lfl(train, d, seed=seed)
-    if tag == "rp":
-        return emb.fit_rp(train, d, seed=seed)
-    if tag == "cca":
-        return emb.fit_lrcca(train, min(d, train.num_classes - 1))
-    if tag == "pls":
-        return emb.fit_pls(train, min(d, train.p, train.n - 1))
-    raise ShapeMismatch(f"unknown algorithm {tag!r}; choose from {ALGORITHMS}")
+def _check_algorithm(tag):
+    if tag not in _SEEDED_FITS:
+        raise ShapeMismatch(f"unknown algorithm {tag!r}; choose from {ALGORITHMS}")
+
+
+def fit_projection(tag, dataset, d, svd_mode="auto", seed=0):
+    """Fit the projection registered under ``tag`` (one of ALGORITHMS).
+
+    cca is clamped to d <= C-1 and pls to d <= min(p, n-1), so the
+    returned width can be below ``d``.
+    """
+    _check_algorithm(tag)
+    return _SEEDED_FITS[tag](dataset, d, svd_mode=svd_mode, seed=seed)
+
+
+# a failed fit or cell is recorded as missing; numerical failures from
+# NumPy/SciPy (a singular Cholesky factor, a non-converging SVD) included
+_CELL_ERRORS = (LolkitError, np.linalg.LinAlgError)
 
 
 def sweep(dataset: LabeledDataset, algorithms, d_max, plan: FoldPlan,
@@ -244,6 +258,8 @@ def sweep(dataset: LabeledDataset, algorithms, d_max, plan: FoldPlan,
     always trained on ``dataset``.  This is how the Robust protocol wires
     outlier-contaminated projection fits to clean classifier training.
     """
+    for tag in algorithms:
+        _check_algorithm(tag)
     if d_max > dataset.p - 1:
         raise ShapeMismatch(f"d_max={d_max} must be <= p-1={dataset.p - 1}")
     fit_cls, predict = (fit_qda, predict_qda) if classifier == "qda" else (fit_lda, predict_lda)
@@ -262,8 +278,8 @@ def sweep(dataset: LabeledDataset, algorithms, d_max, plan: FoldPlan,
             try:
                 fit_ds = LabeledDataset(DataMatrix(xf[:, tr]), yf[tr], c)
                 train_ds = LabeledDataset(DataMatrix(x[:, tr]), y[tr], c)
-                proj = _fit_projection(tag, fit_ds, d_max, svd_mode, plan.seed)
-            except LolkitError:
+                proj = fit_projection(tag, fit_ds, d_max, svd_mode, plan.seed)
+            except _CELL_ERRORS:
                 continue
             test = DataMatrix(x[:, te])
             for r in range(1, min(d_max, proj.d) + 1):
@@ -272,7 +288,7 @@ def sweep(dataset: LabeledDataset, algorithms, d_max, plan: FoldPlan,
                     clf = fit_cls(emb.embed(pre, train_ds.data), train_ds.labels, c)
                     pred = predict(clf, emb.embed(pre, test))
                     rates[j, r - 1] = misclassification_rate(pred, y[te])
-                except LolkitError:
+                except _CELL_ERRORS:
                     continue
         curves.append(ErrorCurve(algorithm=tag, rates=rates))
     return curves

@@ -80,18 +80,13 @@ def _golden_max(fun, lo, hi, tol):
 def chernoff_gaussian(f0, f1, tol=1e-10):
     """Chernoff information C(F0, F1) = sup_t C_t, scaled convention.
 
-    Maximized by golden-section search; a coarse grid scan guards against
-    the (non-unimodal in principle) search settling on a local optimum.
+    C_t is concave in t: it is the skew Jensen gap t F(theta0) +
+    (1-t) F(theta1) - F(t theta0 + (1-t) theta1) of the convex Gaussian
+    log-normalizer F (Nielsen 2011, "Chernoff information of exponential
+    families").  Golden-section search therefore finds the global maximum.
     """
     fun = lambda t: chernoff_divergence_t(f0, f1, t)
     t_star, val = _golden_max(fun, 1e-12, 1.0 - 1e-12, tol)
-    grid = np.linspace(1e-4, 1.0 - 1e-4, 9999)
-    vals = np.array([fun(t) for t in grid])
-    i = int(np.argmax(vals))
-    if vals[i] > val + 1e-12:
-        lo = grid[max(i - 1, 0)]
-        hi = grid[min(i + 1, grid.size - 1)]
-        t_star, val = _golden_max(fun, lo, hi, tol)
     return ChernoffReport(value=float(val), t_star=float(t_star), convention="scaled")
 
 
@@ -134,13 +129,9 @@ def _truncated_pinv_quad(delta, lam, u, d):
     return float(np.sum(coef * coef / lam_d[good]))
 
 
-def lol_vs_lda_gap(delta, sigma, d):
-    """Closed-form Chernoff gap (raw convention) between the LOL map
-    [delta | U_{d-1}] and the eigenvector map U_d of Sigma."""
-    delta = np.asarray(delta, dtype=np.float64)
-    sigma = np.asarray(sigma, dtype=np.float64)
-    if not np.any(delta):
-        return 0.0
+def _lol_quadform(delta, sigma, d):
+    # closed-form raw quadform of the LOL map [delta | U_{d-1}]; also
+    # returns Sigma's eigenpairs in descending order
     lam, u = _eigh_desc(sigma)
     ud1 = u[:, : d - 1]
     resid = delta - ud1 @ (ud1.T @ delta)
@@ -150,9 +141,18 @@ def lol_vs_lda_gap(delta, sigma, d):
     )
     if gamma < 1e-14 * (delta @ delta) * lam[0]:
         raise DegenerateGamma("delta lies in the span of the top d-1 eigenvectors")
-    lol_term = num * num / gamma + _truncated_pinv_quad(delta, lam, u, d - 1)
-    lda_term = _truncated_pinv_quad(delta, lam, u, d)
-    return lol_term - lda_term
+    return num * num / gamma + _truncated_pinv_quad(delta, lam, u, d - 1), lam, u
+
+
+def lol_vs_lda_gap(delta, sigma, d):
+    """Closed-form Chernoff gap (raw convention) between the LOL map
+    [delta | U_{d-1}] and the eigenvector map U_d of Sigma."""
+    delta = np.asarray(delta, dtype=np.float64)
+    sigma = np.asarray(sigma, dtype=np.float64)
+    if not np.any(delta):
+        return 0.0
+    lol_term, lam, u = _lol_quadform(delta, sigma, d)
+    return lol_term - _truncated_pinv_quad(delta, lam, u, d)
 
 
 def lol_vs_pca_gap(delta, sigma, d):
@@ -162,17 +162,7 @@ def lol_vs_pca_gap(delta, sigma, d):
     sigma = np.asarray(sigma, dtype=np.float64)
     if not np.any(delta):
         return 0.0
-    lam, u = _eigh_desc(sigma)
-    ud1 = u[:, : d - 1]
-    resid = delta - ud1 @ (ud1.T @ delta)
-    num = float(delta @ resid)
-    gamma = float(delta @ sigma @ delta) - float(
-        np.sum((ud1.T @ delta) ** 2 * lam[: d - 1])
-    )
-    if gamma < 1e-14 * (delta @ delta) * lam[0]:
-        raise DegenerateGamma("delta lies in the span of the top d-1 eigenvectors")
-    lol_term = num * num / gamma + _truncated_pinv_quad(delta, lam, u, d - 1)
-
+    lol_term, _, _ = _lol_quadform(delta, sigma, d)
     pooled = sigma + 0.25 * np.outer(delta, delta)
     lam_p, u_p = _eigh_desc(pooled)
     q = _truncated_pinv_quad(delta, lam_p, u_p, d)

@@ -138,8 +138,6 @@ def _projected_two_class_params(model: GaussianModel, proj):
     delta = model.means[:, 0] - model.means[:, 1]
     cov = model.covariance_of(0)
     if proj is None:
-        if cov.ndim == 1:
-            return delta, cov  # diagonal fast path
         return delta, cov
     a = proj.directions if isinstance(proj, Projection) else np.asarray(proj)
     delta_a = a.T @ delta
@@ -165,9 +163,7 @@ def bayes_error_two_class(model: GaussianModel, proj=None):
     else:
         try:
             chol = sla.cho_factor(cov, lower=True)
-        except np.linalg.LinAlgError as exc:
-            raise SingularProjectedCov(str(exc)) from exc
-        except sla.LinAlgError as exc:  # scipy raises its own
+        except np.linalg.LinAlgError as exc:  # scipy's LinAlgError is this class
             raise SingularProjectedCov(str(exc)) from exc
         quad = float(delta @ sla.cho_solve(chol, delta))
     return float(norm.cdf(-0.5 * np.sqrt(quad)))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import itertools
 import json
 import os
 import sys
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import benchmark, embeddings, extensions, simulations
 from .chernoff import lol_vs_lda_gap, lol_vs_pca_gap, projected_chernoff_quadform, pooled_top_eigvecs
-from .errors import LolkitError
+from .errors import LolkitError, ParseFailure
 from .model import DataMatrix, LabeledDataset
 
 
@@ -41,15 +42,18 @@ def _write_json(path, obj):
     _atomic_write(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def _dataset_to_csv(dataset: LabeledDataset):
-    p = dataset.p
-    lines = [",".join([f"f{i}" for i in range(p)] + ["label"])]
-    x = dataset.data.values
-    for i in range(dataset.n):
-        lines.append(
-            ",".join(f"{v:.17g}" for v in x[:, i]) + f",{int(dataset.labels[i])}"
-        )
-    return "\n".join(lines) + "\n"
+def _csv_text(header, rows):
+    """CSV text: the header line, then one line per row of formatted fields."""
+    return "".join(",".join(fields) + "\n" for fields in itertools.chain([header], rows))
+
+
+def _samples_csv(prefix, values, last_name, last_fields):
+    """One line per sample (column of ``values``): its entries in
+    round-trip %.17g, then its entry of ``last_fields``."""
+    header = [f"{prefix}{i}" for i in range(values.shape[0])] + [last_name]
+    rows = (itertools.chain((f"{v:.17g}" for v in values[:, i]), (last,))
+            for i, last in enumerate(last_fields))
+    return _csv_text(header, rows)
 
 
 def _family_params(args):
@@ -67,19 +71,15 @@ def cmd_sim(args):
     sim = simulations.sample(spec)
     os.makedirs(args.output_dir, exist_ok=True)
     if isinstance(sim, simulations.RegressionSample):
-        lines = [",".join([f"f{i}" for i in range(args.p)] + ["target"])]
-        for i in range(args.n):
-            lines.append(
-                ",".join(f"{v:.17g}" for v in sim.data.values[:, i])
-                + f",{sim.targets[i]:.17g}"
-            )
         _atomic_write(os.path.join(args.output_dir, "dataset.csv"),
-                      "\n".join(lines) + "\n")
+                      _samples_csv("f", sim.data.values, "target",
+                                   (f"{v:.17g}" for v in sim.targets)))
         _write_json(os.path.join(args.output_dir, "model.json"),
                     {"family": args.family, "coef": sim.coef.tolist()})
         return 0
     _atomic_write(os.path.join(args.output_dir, "dataset.csv"),
-                  _dataset_to_csv(sim.dataset))
+                  _samples_csv("f", sim.dataset.data.values, "label",
+                               map(str, sim.dataset.labels.tolist())))
     model = sim.model
     covs = [c.tolist() for c in model.covariances]
     _write_json(
@@ -109,7 +109,7 @@ def _label_col(value):
 
 def cmd_fit(args):
     dataset = _load(args)
-    proj = benchmark._fit_projection(args.alg, dataset, args.d, args.svd_mode, args.seed)
+    proj = benchmark.fit_projection(args.alg, dataset, args.d, args.svd_mode, args.seed)
     embeddings.save_projection(proj, args.output)
     return 0
 
@@ -118,30 +118,24 @@ def cmd_embed(args):
     dataset = _load(args)
     proj = embeddings.load_projection(args.projection)
     e = embeddings.embed(proj, dataset.data)
-    lines = [",".join([f"e{i}" for i in range(e.p)] + ["label"])]
-    for i in range(e.n):
-        lines.append(",".join(f"{v:.17g}" for v in e.values[:, i])
-                     + f",{int(dataset.labels[i])}")
-    _atomic_write(args.output, "\n".join(lines) + "\n")
+    _atomic_write(args.output,
+                  _samples_csv("e", e.values, "label", map(str, dataset.labels.tolist())))
     return 0
 
 
 def cmd_bench(args):
     dataset = _load(args)
-    d_max = args.d_max or min(dataset.p - 1, 100,
-                              min(len(s) for s in benchmark.make_fold_plan(
-                                  dataset.n, dataset.p, dataset.num_classes,
-                                  args.k, dataset.labels, args.seed).train_subsets) - 1)
     plan = benchmark.make_fold_plan(dataset.n, dataset.p, dataset.num_classes,
                                     args.k, dataset.labels, args.seed)
+    d_max = args.d_max or min(dataset.p - 1, 100,
+                              min(len(s) for s in plan.train_subsets) - 1)
     algs = args.algs.split(",")
     curves = benchmark.sweep(dataset, algs, d_max, plan, classifier=args.classifier)
     report = benchmark.normalized_report(curves, plan, dataset)
     os.makedirs(args.output_dir, exist_ok=True)
-    rows = benchmark.curves_rows(curves)
-    csv_text = "algorithm,r,fold,error\n" + "\n".join(
-        ",".join(str(v) for v in row) for row in rows) + "\n"
-    _atomic_write(os.path.join(args.output_dir, "curves.csv"), csv_text)
+    rows = (map(str, row) for row in benchmark.curves_rows(curves))
+    _atomic_write(os.path.join(args.output_dir, "curves.csv"),
+                  _csv_text(("algorithm", "r", "fold", "error"), rows))
     _write_json(os.path.join(args.output_dir, "report.json"), report)
     return 0
 
@@ -227,13 +221,19 @@ def cmd_regress(args):
 
 def _parse_sweep(text):
     # "start:end:x2" -> geometric sweep by factor 2
-    start, end, step = text.split(":")
-    if not step.startswith("x"):
-        raise ValueError("sweep step must look like x2")
-    factor = float(step[1:])
+    try:
+        start, end, step = text.split(":")
+        if not step.startswith("x"):
+            raise ValueError
+        start, end, factor = float(start), float(end), float(step[1:])
+    except ValueError:
+        raise ParseFailure(f"sweep {text!r} must look like start:end:x<factor>") from None
+    # the negated test also rejects NaN
+    if not (0 < start <= end < np.inf and factor > 1):
+        raise ParseFailure(f"sweep {text!r} needs 0 < start <= end < inf and factor > 1")
     vals = []
-    v = float(start)
-    while v <= float(end) * (1 + 1e-9):
+    v = start
+    while v <= end * (1 + 1e-9):
         vals.append(int(round(v)))
         v *= factor
     return vals
@@ -241,7 +241,7 @@ def _parse_sweep(text):
 
 def cmd_scale(args):
     ps = _parse_sweep(args.p_sweep)
-    rows = ["p,n,d,seconds,ratio_to_previous"]
+    rows = []
     prev = None
     for p in ps:
         rng = np.random.default_rng(args.seed)
@@ -256,11 +256,11 @@ def cmd_scale(args):
             embeddings.fit_lol(dataset, args.d, svd_mode="randomized", seed=args.seed)
             dt = min(dt, time.perf_counter() - t0)
         ratio = "" if prev is None else f"{dt / prev:.6f}"
-        rows.append(f"{p},{args.n},{args.d},{dt:.6f},{ratio}")
+        rows.append((str(p), str(args.n), str(args.d), f"{dt:.6f}", ratio))
         prev = dt
         del x, dataset
         gc.collect()
-    text = "\n".join(rows) + "\n"
+    text = _csv_text(("p", "n", "d", "seconds", "ratio_to_previous"), rows)
     if args.output:
         _atomic_write(args.output, text)
     else:

@@ -6,9 +6,8 @@ followed by eigenvectors (LOL, QOQ, RLOL, LFL) and the plain eigenvector
 methods (PCA, RR-LDA) are *nested*: the first d' columns of a d-dim fit
 equal the d'-dim fit on the same data and seed.
 
-The mean-difference block is deliberately not orthogonalized against the
-eigenvector block; pass ``orthogonalize=True`` to experiment with the
-Gram-Schmidt variant.
+The mean-difference and eigenvector blocks are concatenated as they are,
+so their columns need not be mutually orthogonal.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DegenerateMeans, PlsNoConvergence, ShapeMismatch, TooFewDims
-from .linalg import orthonormalize, sparse_random_columns, truncated_svd, implicit_cca_eigs
+from .linalg import sparse_random_columns, truncated_svd, implicit_cca_eigs
 from .model import (
     ClassStats,
     DataMatrix,
@@ -34,29 +33,13 @@ def _sorted_class_order(priors):
     return np.lexsort((np.arange(c), -priors))
 
 
-def mean_difference_matrix(stats: ClassStats) -> np.ndarray:
-    """Unit-norm mean-difference columns, p x (C-1).
+def _delta_block(locations, priors):
+    """Unit-norm location-difference columns, p x (C-1), from per-class
+    locations (p x C).
 
     Classes are sorted by decreasing prior (ties: ascending index) and
-    column j is mu_(1) - mu_(j+1), normalized.
+    column j is loc_(1) - loc_(j+1), normalized.
     """
-    order = _sorted_class_order(stats.priors)
-    mu = stats.class_means[:, order]
-    anchor = mu[:, 0]
-    deltas = anchor[:, None] - mu[:, 1:]
-    norms = np.linalg.norm(deltas, axis=0)
-    floor = 1e-12 * max(1.0, np.linalg.norm(anchor))
-    bad = np.flatnonzero(norms < floor)
-    if bad.size:
-        j = int(bad[0])
-        raise DegenerateMeans(
-            f"classes {order[0]} and {order[j + 1]} have (near-)identical means"
-        )
-    return deltas / norms
-
-
-def _delta_block_from_locations(locations, priors):
-    """mean_difference_matrix on arbitrary location estimates (p x C)."""
     order = _sorted_class_order(priors)
     loc = locations[:, order]
     deltas = loc[:, 0:1] - loc[:, 1:]
@@ -71,15 +54,17 @@ def _delta_block_from_locations(locations, priors):
     return deltas / norms
 
 
-def _assemble(delta, eigvecs, tag, seed=None, orthogonalize=False):
+def mean_difference_matrix(stats: ClassStats) -> np.ndarray:
+    """Unit-norm mean-difference columns mu_(1) - mu_(j+1), p x (C-1)."""
+    return _delta_block(stats.class_means, stats.priors)
+
+
+def _assemble(delta, eigvecs, tag, seed=None):
     cols = np.hstack([delta, eigvecs]) if eigvecs.shape[1] else delta
-    if orthogonalize:
-        cols = orthonormalize(cols)
     return Projection(cols, method_tag=tag, seed=seed)
 
 
-def fit_lol(dataset: LabeledDataset, d, svd_mode="auto", seed=0,
-            orthogonalize=False) -> Projection:
+def fit_lol(dataset: LabeledDataset, d, svd_mode="auto", seed=0) -> Projection:
     """Mean-difference columns followed by the top eigenvectors of the
     class-conditionally centered data."""
     c = dataset.num_classes
@@ -95,7 +80,7 @@ def fit_lol(dataset: LabeledDataset, d, svd_mode="auto", seed=0,
         eig = truncated_svd(centered.values, k, mode=svd_mode, seed=seed).U
     else:
         eig = np.empty((dataset.p, 0))
-    return _assemble(delta, eig, "lol", seed, orthogonalize)
+    return _assemble(delta, eig, "lol", seed)
 
 
 def fit_pca(dataset: LabeledDataset, d, svd_mode="auto", seed=0) -> Projection:
@@ -168,7 +153,7 @@ def fit_rlol(dataset: LabeledDataset, d, svd_mode="auto", seed=0) -> Projection:
     for j in range(c):
         medians[:, j] = np.median(x[:, y == j], axis=1)
     priors = np.bincount(y, minlength=c) / dataset.n
-    delta = _delta_block_from_locations(medians, priors)
+    delta = _delta_block(medians, priors)
     k = d - (c - 1)
     if k > 0:
         centered = x - medians[:, y]
@@ -289,14 +274,20 @@ def save_projection(proj: Projection, path):
 
 
 def load_projection(path) -> Projection:
+    """Read a save_projection file; a malformed or truncated one raises
+    ShapeMismatch."""
     with open(path) as fh:
         header = fh.readline().strip().split(",")
-        if header[:2] != ["lolkit-projection", "v1"]:
+        if len(header) != 6 or header[:2] != ["lolkit-projection", "v1"]:
             raise ShapeMismatch(f"not a v1 projection file: {path}")
-        p, d = int(header[2]), int(header[3])
-        tag = header[4]
-        seed = int(header[5]) if header[5] else None
-        cols = np.empty((p, d))
-        for j in range(d):
-            cols[:, j] = np.array(fh.readline().split(","), dtype=np.float64)
-    return Projection(cols, method_tag=tag, seed=seed)
+        try:
+            p, d = int(header[2]), int(header[3])
+            seed = int(header[5]) if header[5] else None
+            # a list rather than a p x d buffer, so a corrupt d cannot
+            # allocate more than the file holds
+            cols = [np.array(fh.readline().split(","), dtype=np.float64) for _ in range(d)]
+        except ValueError as exc:
+            raise ShapeMismatch(f"{path}: malformed projection file ({exc})") from None
+        if d < 1 or any(col.shape != (p,) for col in cols) or fh.read().strip():
+            raise ShapeMismatch(f"{path}: expected {d} lines of {p} values after the header")
+    return Projection(np.column_stack(cols), method_tag=header[4], seed=seed)

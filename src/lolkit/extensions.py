@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import f as f_dist
 
-from .benchmark import _fit_projection
+from .benchmark import fit_projection
 from .classifiers import _sample_class
 from .embeddings import embed
 from .errors import DegenerateTarget, ShapeMismatch, UnderdeterminedTest, TooManyBins
@@ -90,7 +90,7 @@ def projected_test_power(spec: SimSpec, method, d, alpha=0.05, reps=200, seed=0,
             np.repeat([0, 1], [fit0.shape[1], fit1.shape[1]]),
             2,
         )
-        proj = _fit_projection(method, fit_ds, d, "auto", rs)
+        proj = fit_projection(method, fit_ds, d, seed=rs)
         res = hotelling_two_sample(
             embed(proj, DataMatrix(test0)), embed(proj, DataMatrix(test1))
         )
@@ -145,7 +145,7 @@ def lol_regression(x: DataMatrix, y, num_bins=4, d=5, svd_mode="auto",
     then ordinary least squares with intercept on the embedded data."""
     part = quantile_partition(y, num_bins)
     dataset = LabeledDataset(x, part.labels, part.num_classes)
-    proj = _fit_projection("lol", dataset, d, svd_mode, seed)
+    proj = fit_projection("lol", dataset, d, svd_mode, seed)
     e = embed(proj, x).values
     design = np.vstack([np.ones(e.shape[1]), e]).T
     beta, *_ = np.linalg.lstsq(design, np.asarray(y, dtype=np.float64), rcond=None)

@@ -1,8 +1,8 @@
 """Shared numerical primitives.
 
-Truncated SVD (exact and Halko-style randomized), Gram-Schmidt
-orthonormalization, very sparse random projection matrices, Haar-uniform
-rotations, and the implicit-operator eigensolver used by low-rank CCA.
+Truncated SVD (exact and Halko-style randomized), very sparse random
+projection columns, Haar-uniform rotations, and the implicit-operator
+eigensolver used by low-rank CCA.
 """
 
 from __future__ import annotations
@@ -34,11 +34,12 @@ class SvdResult:
     V: np.ndarray
 
 
-def _fix_signs(U, V):
-    # Largest-magnitude entry of each U column made positive; flip V to match.
+def _fix_signs(U, *others):
+    # Largest-magnitude entry of each U column made positive; the matrices
+    # in others get the same column flips.
     flip = np.sign(U[np.argmax(np.abs(U), axis=0), np.arange(U.shape[1])])
     flip[flip == 0] = 1.0
-    return U * flip, V * flip
+    return (U * flip, *(m * flip for m in others))
 
 
 def truncated_svd(values, k, mode="auto", seed=0, oversample=10, power_iters=2):
@@ -79,50 +80,13 @@ def truncated_svd(values, k, mode="auto", seed=0, oversample=10, power_iters=2):
     return SvdResult(U=u, S=s[:k], V=v)
 
 
-def orthonormalize(m, drop_tol=1e-10):
-    """Modified Gram-Schmidt; near-dependent columns are dropped.
-
-    Returns a p x k' matrix (k' <= k) with orthonormal columns spanning
-    the input's column space.
-    """
-    m = np.asarray(m, dtype=np.float64)
-    cols = []
-    for j in range(m.shape[1]):
-        v = m[:, j].copy()
-        norm0 = np.linalg.norm(v)
-        if norm0 == 0:
-            continue
-        for q in cols:
-            v -= (q @ v) * q
-        # second pass for numerical orthogonality
-        for q in cols:
-            v -= (q @ v) * q
-        norm = np.linalg.norm(v)
-        if norm < drop_tol * norm0:
-            continue
-        cols.append(v / norm)
-    if not cols:
-        return np.empty((m.shape[0], 0))
-    return np.column_stack(cols)
-
-
-def sparse_random_matrix(p, k, seed):
-    """Very sparse random projection matrix, p x k.
+def sparse_random_columns(p, k, seed):
+    """Very sparse random projection columns, p x k.
 
     Entries are iid +sqrt(s) or -sqrt(s) each with probability 1/(2s)
-    and 0 otherwise, with density parameter s = sqrt(p); columns are
-    then scaled by 1/sqrt(k).  Columns are drawn sequentially from the
-    seeded stream, so a p x k' draw is the prefix of a p x k draw for
-    k' < k (this is what makes LFL/RP fits nest across dimensions).
-    """
-    return sparse_random_columns(p, k, seed) / np.sqrt(k)
-
-
-def sparse_random_columns(p, k, seed):
-    """The unscaled +-sqrt(s)/0 columns behind sparse_random_matrix.
-
-    Column j is identical for every k > j, which is what unit-norm
-    consumers need for bit-exact nesting.
+    and 0 otherwise, with density parameter s = sqrt(p).  Columns are
+    drawn sequentially from the seeded stream, so column j is identical
+    for every k > j; this is what makes LFL/RP fits nest exactly.
     """
     if p < 1 or k < 1:
         raise RankRequestTooLarge(f"need p,k >= 1, got p={p}, k={k}")
@@ -191,8 +155,4 @@ def implicit_cca_eigs(pooled_centered, class_means, pooled_mean, counts, d):
     norms = np.linalg.norm(vecs, axis=0)
     if np.any(norms == 0):
         raise DegeneratePooledCovariance("degenerate CCA direction")
-    vecs = vecs / norms
-    # deterministic sign: largest-magnitude entry positive
-    flip = np.sign(vecs[np.argmax(np.abs(vecs), axis=0), np.arange(vecs.shape[1])])
-    flip[flip == 0] = 1.0
-    return vecs * flip
+    return _fix_signs(vecs / norms)[0]

@@ -97,18 +97,19 @@ def _binary_labels(n, rng):
     return (rng.random(n) < 0.5).astype(np.int64)
 
 
-def _toeplitz_eigs(p, rho, frobenius):
+def _toeplitz_sigma(p, rho, frobenius):
+    # rho^|i-j| scaled to the given Frobenius norm
     if not 0.0 < rho < 1.0:
         raise BadRho(f"rho must be in (0,1), got {rho}")
     sigma = toeplitz(rho ** np.arange(p, dtype=np.float64))
     sigma *= frobenius / np.linalg.norm(sigma, "fro")
-    lam = np.linalg.eigvalsh(sigma)[::-1].copy()
-    return lam
+    return sigma
 
 
 def _toeplitz_model(spec, rng):
     prm = spec.params
-    lam = _toeplitz_eigs(spec.p, prm["rho"], prm["frobenius"])
+    sigma = _toeplitz_sigma(spec.p, prm["rho"], prm["frobenius"])
+    lam = np.linalg.eigvalsh(sigma)[::-1].copy()
     mu1 = rng.standard_normal(spec.p)
     mu1 = prm["delta_scale"] * mu1 / np.linalg.norm(mu1)
     mu0 = np.zeros(spec.p)
@@ -211,12 +212,8 @@ def sample(spec: SimSpec) -> SimSample | RegressionSample:
     prm = spec.params
 
     if spec.family == "regression_linear":
-        if not 0.0 < prm["rho"] < 1.0:
-            raise BadRho(f"rho must be in (0,1), got {prm['rho']}")
-        sigma = toeplitz(prm["rho"] ** np.arange(p, dtype=np.float64))
-        sigma *= prm["frobenius"] / np.linalg.norm(sigma, "fro")
-        chol = np.linalg.cholesky(sigma + 1e-12 * np.trace(sigma) / p * np.eye(p))
-        x = chol @ rng.standard_normal((p, n))
+        sigma = _toeplitz_sigma(p, prm["rho"], prm["frobenius"])
+        x = _shared_chol(sigma, p) @ rng.standard_normal((p, n))
         coef = np.zeros(p)
         c = np.asarray(prm["coef"], dtype=np.float64)
         coef[: c.shape[0]] = c

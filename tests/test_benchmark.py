@@ -3,9 +3,12 @@ import json
 import numpy as np
 import pytest
 
+from lolkit import benchmark
 from lolkit.benchmark import (
+    ALGORITHMS,
     ErrorCurve,
     curves_rows,
+    fit_projection,
     load_csv,
     make_fold_plan,
     normalized_report,
@@ -17,6 +20,7 @@ from lolkit.errors import (
     EmptyCurve,
     NoBaseline,
     ParseFailure,
+    ShapeMismatch,
     TooManyFolds,
 )
 from lolkit.model import DataMatrix, LabeledDataset
@@ -149,7 +153,6 @@ def test_sweep_prefix_reuse_matches_per_r_refits():
     ds = trunk_dataset(p=15, n=80, seed=3)
     plan = make_fold_plan(ds.n, ds.p, 2, 3, ds.labels, seed=3)
     curves = sweep(ds, ["lol"], 5, plan)
-    from lolkit.benchmark import _fit_projection
     from lolkit.classifiers import fit_lda, misclassification_rate, predict_lda
     from lolkit.embeddings import embed
     for j in range(plan.k):
@@ -157,11 +160,57 @@ def test_sweep_prefix_reuse_matches_per_r_refits():
         te = plan.folds[j]
         train = LabeledDataset(DataMatrix(ds.data.values[:, tr]), ds.labels[tr], 2)
         for r in (1, 3, 5):
-            proj = _fit_projection("lol", train, r, "auto", plan.seed)
+            proj = fit_projection("lol", train, r, "auto", plan.seed)
             clf = fit_lda(embed(proj, train.data), train.labels, 2)
             pred = predict_lda(clf, embed(proj, DataMatrix(ds.data.values[:, te])))
             rate = misclassification_rate(pred, ds.labels[te])
             assert abs(rate - curves[0].rates[j, r - 1]) < 1e-12
+
+
+def test_registry_fits_every_algorithm_at_its_clamped_width():
+    # 3 classes, p=20, n=12: d=12 exceeds both the cca limit C-1=2 and
+    # the pls limit min(p, n-1)=11
+    ds = sample(SimSpec("trunk3", 20, 12, seed=0)).dataset
+    widths = {tag: fit_projection(tag, ds, 12).d for tag in ALGORITHMS}
+    assert widths == {**dict.fromkeys(ALGORITHMS, 12), "cca": 2, "pls": 11}
+    with pytest.raises(ShapeMismatch, match="choose from"):
+        fit_projection("foo", ds, 2)
+
+
+def test_sweep_rejects_unknown_tag_before_fitting(monkeypatch):
+    ds = trunk_dataset(p=15, n=80, seed=3)
+    plan = make_fold_plan(ds.n, ds.p, 2, 3, ds.labels, seed=3)
+    monkeypatch.setitem(benchmark._SEEDED_FITS, "lol", None)  # would fail if called
+    with pytest.raises(ShapeMismatch, match="'foo'.*choose from"):
+        sweep(ds, ["lol", "foo"], 4, plan)
+
+
+def test_sweep_records_linalg_failures_as_missing_cells(monkeypatch):
+    ds = trunk_dataset(p=15, n=80, seed=3)
+    plan = make_fold_plan(ds.n, ds.p, 2, 3, ds.labels, seed=3)
+    baseline = sweep(ds, ["lol", "pca"], 5, plan)
+    real_fit_lda = benchmark.fit_lda
+
+    def fit_lda_failing_at_r3(embedded, labels, num_classes=None):
+        if embedded.p == 3:
+            raise np.linalg.LinAlgError("leading minor not positive definite")
+        return real_fit_lda(embedded, labels, num_classes)
+
+    monkeypatch.setattr(benchmark, "fit_lda", fit_lda_failing_at_r3)
+    curves = sweep(ds, ["lol", "pca"], 5, plan)
+    for got, want in zip(curves, baseline):
+        assert np.all(np.isnan(got.rates[:, 2]))
+        keep = [0, 1, 3, 4]
+        assert np.array_equal(got.rates[:, keep], want.rates[:, keep])
+        assert np.all(np.isfinite(want.rates))
+
+    def failing_fit(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setitem(benchmark._SEEDED_FITS, "pca", failing_fit)
+    lol, pca = sweep(ds, ["lol", "pca"], 5, plan)
+    assert np.all(np.isnan(pca.rates))
+    assert np.isfinite(lol.rates[:, 0]).all()
 
 
 def test_normalized_report_identical_to_lol_is_zero():

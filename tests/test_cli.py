@@ -1,9 +1,12 @@
+import argparse
 import json
 
 import numpy as np
 import pytest
 
-from lolkit.cli import _parse_sweep, main
+from lolkit.benchmark import ALGORITHMS
+from lolkit.cli import _parse_sweep, build_parser, main
+from lolkit.errors import ParseFailure
 
 
 def run(args):
@@ -21,8 +24,22 @@ def test_help_on_every_subcommand(capsys):
 def test_parse_sweep():
     assert _parse_sweep("10000:80000:x2") == [10000, 20000, 40000, 80000]
     assert _parse_sweep("500:500:x2") == [500]
-    with pytest.raises(ValueError):
-        _parse_sweep("10:20:5")
+    for bad in ("10:20:5", "10:20:2", "10:20", "a:20:x2", "10:20:x", "10:20:x1",
+                "10:20:x0.5", "0:20:x2", "-5:20:x2", "20:10:x2", "10:inf:x2", "nan:20:x2"):
+        with pytest.raises(ParseFailure):
+            _parse_sweep(bad)
+
+
+def test_scale_bad_sweep_is_a_structured_error(capsys):
+    assert run(["scale", "--p-sweep", "10:20:2"]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "ParseFailure"
+
+
+def test_fit_alg_choices_are_the_registry():
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    alg = next(a for a in sub.choices["fit"]._actions if a.dest == "alg")
+    assert tuple(alg.choices) == ALGORITHMS
 
 
 def test_sim_writes_dataset_and_model(tmp_path):
@@ -50,6 +67,45 @@ def test_fit_embed_round_trip(tmp_path):
     lines = emb_path.read_text().strip().split("\n")
     assert len(lines) == 101
     assert lines[0] == "e0,e1,e2,e3,label"
+
+
+def test_embed_rejects_corrupt_projection_files(tmp_path, capsys):
+    out = tmp_path / "sim"
+    run(["sim", "--family", "trunk", "--p", "20", "--n", "50",
+         "--output-dir", str(out)])
+    data = str(out / "dataset.csv")
+    proj_path = tmp_path / "proj.txt"
+    assert run(["fit", "--input", data, "--alg", "lol", "--d", "4",
+                "--output", str(proj_path)]) == 0
+    header, *cols = proj_path.read_text().splitlines()
+    corruptions = {
+        "truncated": [header] + cols[:2],
+        "value dropped": [header] + cols[:1] + [cols[1].rsplit(",", 1)[0]] + cols[2:],
+        "header shortened": [header.rsplit(",", 1)[0]] + cols,
+    }
+    for name, lines in corruptions.items():
+        bad = tmp_path / "bad.txt"
+        bad.write_text("\n".join(lines) + "\n")
+        emb_path = tmp_path / "emb.csv"
+        code = run(["embed", "--input", data, "--projection", str(bad),
+                    "--output", str(emb_path)])
+        assert code == 2, name
+        assert json.loads(capsys.readouterr().err)["error"] == "ShapeMismatch", name
+        assert not emb_path.exists(), name
+
+
+def test_bench_unknown_algorithm_fails_before_fitting(tmp_path, capsys):
+    sim_dir = tmp_path / "sim"
+    run(["sim", "--family", "trunk", "--p", "15", "--n", "80",
+         "--output-dir", str(sim_dir)])
+    code = run(["bench", "--input", str(sim_dir / "dataset.csv"), "--algs", "lol,foo",
+                "--k", "3", "--d-max", "4", "--output-dir", str(tmp_path / "b")])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ShapeMismatch"
+    assert "'foo'" in err["message"]
+    assert all(tag in err["message"] for tag in ALGORITHMS)
+    assert not (tmp_path / "b").exists()
 
 
 def test_bench_deterministic_reports(tmp_path):

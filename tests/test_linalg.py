@@ -6,9 +6,8 @@ import pytest
 from lolkit.errors import CcaRankExceeded, NonFiniteData, RankRequestTooLarge
 from lolkit.linalg import (
     implicit_cca_eigs,
-    orthonormalize,
     random_rotation,
-    sparse_random_matrix,
+    sparse_random_columns,
     truncated_svd,
 )
 from lolkit.model import DataMatrix, LabeledDataset, center_pooled, class_stats
@@ -78,31 +77,14 @@ def test_svd_randomized_deterministic():
     assert np.array_equal(a.U, b.U)
 
 
-def test_orthonormalize_drops_duplicates():
-    e1 = np.array([1.0, 0.0, 0.0])
-    out = orthonormalize(np.column_stack([e1, e1]))
-    assert out.shape == (3, 1)
-    assert np.allclose(np.abs(out[:, 0]), e1)
-
-
-def test_orthonormalize_full_rank():
-    rng = np.random.default_rng(6)
-    m = rng.standard_normal((20, 5))
-    q = orthonormalize(m)
-    assert q.shape == (20, 5)
-    assert np.allclose(q.T @ q, np.eye(5), atol=1e-10)
-    # span preserved: original columns reconstructible from q
-    assert np.allclose(q @ (q.T @ m), m, atol=1e-8)
-
-
 def test_sparse_random_p1():
-    m = sparse_random_matrix(1, 1, seed=0)
+    m = sparse_random_columns(1, 1, seed=0)
     assert m[0, 0] in (1.0, -1.0)
 
 
 def test_sparse_random_density():
     p, k = 10_000, 10
-    m = sparse_random_matrix(p, k, seed=1) * np.sqrt(k)
+    m = sparse_random_columns(p, k, seed=1)
     frac = np.mean(m != 0)
     q = 1.0 / np.sqrt(p)
     sigma = np.sqrt(q * (1 - q) / (p * k))
@@ -115,11 +97,11 @@ def test_sparse_random_density():
 
 
 def test_sparse_random_deterministic_and_nested():
-    a = sparse_random_matrix(50, 8, seed=3)
-    b = sparse_random_matrix(50, 8, seed=3)
+    a = sparse_random_columns(50, 8, seed=3)
+    b = sparse_random_columns(50, 8, seed=3)
     assert np.array_equal(a, b)
-    prefix = sparse_random_matrix(50, 3, seed=3)
-    assert np.allclose(a[:, :3] * np.sqrt(8), prefix * np.sqrt(3))
+    prefix = sparse_random_columns(50, 3, seed=3)
+    assert np.array_equal(a[:, :3], prefix)
 
 
 def test_random_rotation_properties():
