@@ -11,8 +11,11 @@ aborting the sweep.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import ctypes
 import math
+import os
 import warnings
 from dataclasses import dataclass
 
@@ -55,7 +58,11 @@ def load_csv(path, label_column, delimiter=None) -> LoadedCsv:
     must parse as reals.  ``label_column`` is a header name or integer
     index.
     """
-    with open(path, newline="") as fh:
+    try:
+        fh = open(path, newline="")
+    except OSError as exc:
+        raise ParseFailure(f"{path}: cannot open: {exc.strerror}") from None
+    with fh:
         first = fh.readline()
         if not first:
             raise ParseFailure(f"{path}: empty file")
@@ -248,6 +255,54 @@ def fit_projection(tag, dataset, d, svd_mode="auto", seed=0):
 # NumPy/SciPy (a singular Cholesky factor, a non-converging SVD) included
 _CELL_ERRORS = (LolkitError, np.linalg.LinAlgError)
 
+# (get, set) thread-count entry points of the 64-bit-integer (numpy) and
+# 32-bit (scipy) OpenBLAS builds
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+)
+
+
+def _openblas_thread_controls():
+    """[(get, set)] thread-count functions of each OpenBLAS copy loaded in
+    this process.  numpy and scipy each ship their own copy with its own
+    thread pool.  Empty where none is found, for example off Linux."""
+    try:
+        with open("/proc/self/maps") as fh:
+            fields = (line.split(maxsplit=5) for line in fh)
+            paths = sorted({f[5].rstrip("\n") for f in fields
+                            if len(f) == 6 and "openblas" in os.path.basename(f[5])})
+    except OSError:
+        return []
+    controls = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
+            if hasattr(lib, get_name) and hasattr(lib, set_name):
+                get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                controls.append((get, set_))
+                break
+    return controls
+
+
+@contextlib.contextmanager
+def _one_blas_thread(controls):
+    """Run the block with every OpenBLAS copy in ``controls`` at one thread,
+    then restore each copy's previous count."""
+    saved = [(set_, get()) for get, set_ in controls]
+    try:
+        for set_, _ in saved:
+            set_(1)
+        yield
+    finally:
+        for set_, threads in saved:
+            set_(threads)
+
 
 def sweep(dataset: LabeledDataset, algorithms, d_max, plan: FoldPlan,
           classifier="lda", svd_mode="auto", fit_data=None):
@@ -257,41 +312,51 @@ def sweep(dataset: LabeledDataset, algorithms, d_max, plan: FoldPlan,
     column indexing) used only for fitting projections; classifiers are
     always trained on ``dataset``.  This is how the Robust protocol wires
     outlier-contaminated projection fits to clean classifier training.
+
+    Each fold's per-r cells (embed, classifier fit, predict) run with
+    BLAS at one thread: their d x d solves are far slower when two thread
+    pools contend for the cores.  Projection fits run at the process
+    default, because the cca fit's result depends on the thread count.
+    Thread counts are process-wide, so sweeps running concurrently in
+    one process can restore each other's pinned count.
     """
     for tag in algorithms:
         _check_algorithm(tag)
-    if d_max > dataset.p - 1:
-        raise ShapeMismatch(f"d_max={d_max} must be <= p-1={dataset.p - 1}")
+    if not 1 <= d_max <= dataset.p - 1:
+        raise ShapeMismatch(f"d_max={d_max} must lie in 1..p-1={dataset.p - 1}")
     fit_cls, predict = (fit_qda, predict_qda) if classifier == "qda" else (fit_lda, predict_lda)
     x = dataset.data.values
     y = dataset.labels
     c = dataset.num_classes
-    xf = fit_data.data.values if fit_data is not None else x
-    yf = fit_data.labels if fit_data is not None else y
+    blas = _openblas_thread_controls()
 
-    curves = []
-    for tag in algorithms:
-        rates = np.full((plan.k, d_max), np.nan)
-        for j in range(plan.k):
-            tr = plan.train_subsets[j]
-            te = plan.folds[j]
+    rates = [np.full((plan.k, d_max), np.nan) for _ in algorithms]
+    for j in range(plan.k):
+        tr = plan.train_subsets[j]
+        te = plan.folds[j]
+        try:
+            train_ds = LabeledDataset(DataMatrix(x[:, tr]), y[tr], c)
+            fit_ds = train_ds if fit_data is None else LabeledDataset(
+                DataMatrix(fit_data.data.values[:, tr]), fit_data.labels[tr], c)
+            test = DataMatrix(x[:, te])
+        except _CELL_ERRORS:
+            continue
+        for tag, tag_rates in zip(algorithms, rates):
             try:
-                fit_ds = LabeledDataset(DataMatrix(xf[:, tr]), yf[tr], c)
-                train_ds = LabeledDataset(DataMatrix(x[:, tr]), y[tr], c)
                 proj = fit_projection(tag, fit_ds, d_max, svd_mode, plan.seed)
             except _CELL_ERRORS:
                 continue
-            test = DataMatrix(x[:, te])
-            for r in range(1, min(d_max, proj.d) + 1):
-                try:
-                    pre = proj.prefix(r)
-                    clf = fit_cls(emb.embed(pre, train_ds.data), train_ds.labels, c)
-                    pred = predict(clf, emb.embed(pre, test))
-                    rates[j, r - 1] = misclassification_rate(pred, y[te])
-                except _CELL_ERRORS:
-                    continue
-        curves.append(ErrorCurve(algorithm=tag, rates=rates))
-    return curves
+            with _one_blas_thread(blas):
+                for r in range(1, min(d_max, proj.d) + 1):
+                    try:
+                        pre = proj.prefix(r)
+                        clf = fit_cls(emb.embed(pre, train_ds.data), train_ds.labels, c)
+                        pred = predict(clf, emb.embed(pre, test))
+                        tag_rates[j, r - 1] = misclassification_rate(pred, y[te])
+                    except _CELL_ERRORS:
+                        continue
+    return [ErrorCurve(algorithm=tag, rates=tag_rates)
+            for tag, tag_rates in zip(algorithms, rates)]
 
 
 def select_rstar(curve: ErrorCurve):

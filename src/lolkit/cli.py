@@ -127,8 +127,9 @@ def cmd_bench(args):
     dataset = _load(args)
     plan = benchmark.make_fold_plan(dataset.n, dataset.p, dataset.num_classes,
                                     args.k, dataset.labels, args.seed)
-    d_max = args.d_max or min(dataset.p - 1, 100,
-                              min(len(s) for s in plan.train_subsets) - 1)
+    d_max = args.d_max
+    if d_max is None:
+        d_max = min(dataset.p - 1, 100, min(len(s) for s in plan.train_subsets) - 1)
     algs = args.algs.split(",")
     curves = benchmark.sweep(dataset, algs, d_max, plan, classifier=args.classifier)
     report = benchmark.normalized_report(curves, plan, dataset)
@@ -316,8 +317,6 @@ def build_parser():
     sp.add_argument("--d-max", dest="d_max", type=int, default=None)
     sp.add_argument("--classifier", default="lda", choices=("lda", "qda"))
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--threads", type=int, default=1,
-                    help="worker count (results are thread-count independent)")
     sp.add_argument("--output-dir", required=True)
     sp.set_defaults(func=cmd_bench)
 

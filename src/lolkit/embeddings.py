@@ -275,8 +275,12 @@ def save_projection(proj: Projection, path):
 
 def load_projection(path) -> Projection:
     """Read a save_projection file; a malformed or truncated one raises
-    ShapeMismatch."""
-    with open(path) as fh:
+    ShapeMismatch, and so does one that cannot be opened."""
+    try:
+        fh = open(path)
+    except OSError as exc:
+        raise ShapeMismatch(f"{path}: cannot open: {exc.strerror}") from None
+    with fh:
         header = fh.readline().strip().split(",")
         if len(header) != 6 or header[:2] != ["lolkit-projection", "v1"]:
             raise ShapeMismatch(f"not a v1 projection file: {path}")

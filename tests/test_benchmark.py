@@ -1,3 +1,4 @@
+import contextlib
 import json
 
 import numpy as np
@@ -85,6 +86,8 @@ def test_load_csv_errors(tmp_path):
         load_csv(write(tmp_path, "a,label\n1,0\n2,1\n"), "nope")
     with pytest.raises(DegenerateLabels):
         load_csv(write(tmp_path, "a,label\n1,0\n2,0\n3,0\n"), "label")
+    with pytest.raises(ParseFailure, match="nope.csv"):
+        load_csv(tmp_path / "nope.csv", "label")
 
 
 def test_make_fold_plan_subsample_sizes():
@@ -270,3 +273,89 @@ def test_sweep_robust_fit_data_wiring():
     curves = sweep(inl, ["lol"], 4, plan, fit_data=inl)
     baseline = sweep(inl, ["lol"], 4, plan)
     assert np.array_equal(curves[0].rates, baseline[0].rates, equal_nan=True)
+
+
+def _openblas_copies():
+    """How many of numpy and scipy were built against scipy-openblas."""
+    import scipy
+
+    return sum(mod.__config__.CONFIG["Build Dependencies"]["blas"]["name"] == "scipy-openblas"
+               for mod in (np, scipy))
+
+
+@pytest.fixture
+def blas_at_two_threads():
+    """The OpenBLAS thread controls, every copy set to 2 threads for the
+    test and put back to its own count afterwards."""
+    controls = benchmark._openblas_thread_controls()
+    saved = [(set_, get()) for get, set_ in controls]
+    for set_, _ in saved:
+        set_(2)
+    yield controls
+    for set_, threads in saved:
+        set_(threads)
+
+
+def _threads(controls):
+    return [get() for get, _ in controls]
+
+
+def test_one_blas_thread_pins_and_restores(blas_at_two_threads):
+    controls = blas_at_two_threads
+    assert len(controls) == _openblas_copies()
+    with benchmark._one_blas_thread(controls):
+        assert _threads(controls) == [1] * len(controls)
+    assert _threads(controls) == [2] * len(controls)
+    with pytest.raises(RuntimeError, match="cell"):
+        with benchmark._one_blas_thread(controls):
+            raise RuntimeError("cell failed")
+    assert _threads(controls) == [2] * len(controls)
+
+
+def _threads_seen_by_cells(monkeypatch, controls):
+    # the thread counts each classifier fit in a sweep runs at
+    seen = []
+    real_fit_lda = benchmark.fit_lda
+
+    def recording_fit_lda(*args, **kwargs):
+        seen.append(tuple(_threads(controls)))
+        return real_fit_lda(*args, **kwargs)
+
+    monkeypatch.setattr(benchmark, "fit_lda", recording_fit_lda)
+    return seen
+
+
+def test_sweep_runs_cells_at_one_thread_and_restores(monkeypatch, blas_at_two_threads):
+    controls = blas_at_two_threads
+    ds = trunk_dataset(p=15, n=80, seed=3)
+    plan = make_fold_plan(ds.n, ds.p, 2, 3, ds.labels, seed=3)
+    seen = _threads_seen_by_cells(monkeypatch, controls)
+    sweep(ds, ["lol", "pca"], 4, plan)
+    assert set(seen) == {(1,) * len(controls)}
+    assert len(seen) == 2 * plan.k * 4
+    assert _threads(controls) == [2] * len(controls)
+
+
+def test_sweep_without_openblas_leaves_threads_alone(monkeypatch, blas_at_two_threads):
+    controls = blas_at_two_threads
+    ds = trunk_dataset(p=15, n=80, seed=3)
+    plan = make_fold_plan(ds.n, ds.p, 2, 3, ds.labels, seed=3)
+    pinned = sweep(ds, ["lol"], 4, plan)
+    monkeypatch.setattr(benchmark, "_openblas_thread_controls", lambda: [])
+    seen = _threads_seen_by_cells(monkeypatch, controls)
+    (unpinned,) = sweep(ds, ["lol"], 4, plan)
+    assert set(seen) == {(2,) * len(controls)}
+    assert np.array_equal(unpinned.rates, pinned[0].rates)
+
+
+@pytest.mark.parametrize("classifier", ["lda", "qda"])
+def test_sweep_curves_do_not_depend_on_the_pin(monkeypatch, classifier):
+    ds = sample(SimSpec("trunk3", 40, 120, seed=8)).dataset
+    plan = make_fold_plan(ds.n, ds.p, ds.num_classes, 3, ds.labels, seed=8)
+    pinned = sweep(ds, ALGORITHMS, 8, plan, classifier=classifier)
+    monkeypatch.setattr(benchmark, "_one_blas_thread", contextlib.nullcontext)
+    unpinned = sweep(ds, ALGORITHMS, 8, plan, classifier=classifier)
+    for got, want in zip(pinned, unpinned):
+        assert got.algorithm == want.algorithm
+        assert np.array_equal(got.rates, want.rates, equal_nan=True), got.algorithm
+        assert np.isfinite(got.rates[:, 0]).all(), got.algorithm

@@ -167,3 +167,41 @@ def test_structured_error_and_exit_code(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "DegenerateLabels"
     assert not (tmp_path / "p.txt").exists()  # nothing partially written
+
+
+def test_missing_input_files_are_structured_errors(tmp_path, capsys):
+    out = tmp_path / "sim"
+    run(["sim", "--family", "trunk", "--p", "10", "--n", "40", "--output-dir", str(out)])
+    data = str(out / "dataset.csv")
+    cases = {
+        "ParseFailure": ["fit", "--input", str(tmp_path / "nope.csv"), "--alg", "lol",
+                         "--d", "2", "--output", str(tmp_path / "p.txt")],
+        "ShapeMismatch": ["embed", "--input", data, "--projection", str(tmp_path / "nope.txt"),
+                          "--output", str(tmp_path / "e.csv")],
+    }
+    for error, argv in cases.items():
+        assert run(argv) == 2, error
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == error
+        assert "nope." in err["message"]
+
+
+@pytest.mark.parametrize("d_max", ["-3", "0"])
+def test_bench_rejects_d_max_below_one(tmp_path, capsys, d_max):
+    sim_dir = tmp_path / "sim"
+    run(["sim", "--family", "trunk", "--p", "15", "--n", "80", "--output-dir", str(sim_dir)])
+    code = run(["bench", "--input", str(sim_dir / "dataset.csv"), "--algs", "lol",
+                "--k", "3", "--d-max", d_max, "--output-dir", str(tmp_path / "b")])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ShapeMismatch"
+    assert f"d_max={d_max}" in err["message"]
+    assert not (tmp_path / "b").exists()
+
+
+def test_bench_threads_flag_is_gone(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["bench", "--input", str(tmp_path / "x.csv"), "--threads", "2",
+             "--output-dir", str(tmp_path / "b")])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
