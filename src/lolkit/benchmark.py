@@ -50,34 +50,36 @@ class LoadedCsv:
     n_dropped_rows: int
 
 
-def load_csv(path, label_column, delimiter=None) -> LoadedCsv:
-    """Load a delimited text file into a LabeledDataset.
+def load_csv(path, label_column) -> LoadedCsv:
+    """Load a UTF-8 comma- or tab-delimited file into a LabeledDataset.
 
-    Rows with any missing entry are dropped; feature columns with fewer
-    than ONE_HOT_THRESHOLD unique values are one-hot encoded; the rest
-    must parse as reals.  ``label_column`` is a header name or integer
-    index.
+    The delimiter is a tab when the header line holds one.  Rows with any
+    missing entry are dropped; feature columns with fewer than
+    ONE_HOT_THRESHOLD unique values are one-hot encoded; the rest must
+    parse as reals.  ``label_column`` is a header name or integer index.
     """
     try:
-        fh = open(path, newline="")
+        fh = open(path, newline="", encoding="utf-8")
     except OSError as exc:
         raise ParseFailure(f"{path}: cannot open: {exc.strerror}") from None
     with fh:
-        first = fh.readline()
-        if not first:
-            raise ParseFailure(f"{path}: empty file")
-        if delimiter is None:
+        try:
+            first = fh.readline()
+            if not first:
+                raise ParseFailure(f"{path}: empty file")
             delimiter = "\t" if "\t" in first else ","
-        header = next(csv.reader([first], delimiter=delimiter))
-        rows = []
-        for lineno, row in enumerate(csv.reader(fh, delimiter=delimiter), start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ParseFailure(
-                    f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
-                )
-            rows.append([cell.strip() for cell in row])
+            header = next(csv.reader([first], delimiter=delimiter))
+            rows = []
+            for lineno, row in enumerate(csv.reader(fh, delimiter=delimiter), start=2):
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise ParseFailure(
+                        f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
+                    )
+                rows.append([cell.strip() for cell in row])
+        except UnicodeDecodeError as exc:
+            raise ParseFailure(f"{path}: not UTF-8 text ({exc.reason})") from None
 
     if isinstance(label_column, int):
         label_idx = label_column
@@ -122,6 +124,8 @@ def load_csv(path, label_column, delimiter=None) -> LoadedCsv:
                 ) from exc
             feature_names.append(name)
 
+    if not feature_cols:
+        raise ParseFailure(f"{path}: no feature columns")
     x = np.vstack(feature_cols)  # p x n
     dataset = LabeledDataset(DataMatrix(x), labels, len(classes))
     return LoadedCsv(dataset, tuple(feature_names), mapping, n_dropped)
@@ -205,17 +209,10 @@ class ErrorCurve:
 
     @property
     def mean(self):
-        return self._nan_aggregate(np.nanmean)
-
-    @property
-    def median(self):
-        return self._nan_aggregate(np.nanmedian)
-
-    def _nan_aggregate(self, fun):
         # all-NaN columns (every fold failed at that r) stay NaN silently
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            return fun(self.rates, axis=0)
+            return np.nanmean(self.rates, axis=0)
 
 
 # tag -> fit(dataset, d, *, svd_mode, seed).  The adapters look the
@@ -304,14 +301,8 @@ def _one_blas_thread(controls):
             set_(threads)
 
 
-def sweep(dataset: LabeledDataset, algorithms, d_max, plan: FoldPlan,
-          classifier="lda", svd_mode="auto", fit_data=None):
+def sweep(dataset: LabeledDataset, algorithms, d_max, plan: FoldPlan, classifier="lda"):
     """Error curves for every algorithm over r = 1..d_max.
-
-    ``fit_data``, when given, is an alternative LabeledDataset (same
-    column indexing) used only for fitting projections; classifiers are
-    always trained on ``dataset``.  This is how the Robust protocol wires
-    outlier-contaminated projection fits to clean classifier training.
 
     Each fold's per-r cells (embed, classifier fit, predict) run with
     BLAS at one thread: their d x d solves are far slower when two thread
@@ -336,14 +327,12 @@ def sweep(dataset: LabeledDataset, algorithms, d_max, plan: FoldPlan,
         te = plan.folds[j]
         try:
             train_ds = LabeledDataset(DataMatrix(x[:, tr]), y[tr], c)
-            fit_ds = train_ds if fit_data is None else LabeledDataset(
-                DataMatrix(fit_data.data.values[:, tr]), fit_data.labels[tr], c)
             test = DataMatrix(x[:, te])
         except _CELL_ERRORS:
             continue
         for tag, tag_rates in zip(algorithms, rates):
             try:
-                proj = fit_projection(tag, fit_ds, d_max, svd_mode, plan.seed)
+                proj = fit_projection(tag, train_ds, d_max, seed=plan.seed)
             except _CELL_ERRORS:
                 continue
             with _one_blas_thread(blas):

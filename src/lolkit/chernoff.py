@@ -22,7 +22,7 @@ from .errors import (
     PooledDenominatorDegenerate,
     SingularProjectedCov,
 )
-from .model import Projection, cov_as_dense
+from .model import as_matrix, cov_as_dense
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -77,7 +77,7 @@ def _golden_max(fun, lo, hi, tol):
     return t, fun(t)
 
 
-def chernoff_gaussian(f0, f1, tol=1e-10):
+def chernoff_gaussian(f0, f1):
     """Chernoff information C(F0, F1) = sup_t C_t, scaled convention.
 
     C_t is concave in t: it is the skew Jensen gap t F(theta0) +
@@ -86,17 +86,13 @@ def chernoff_gaussian(f0, f1, tol=1e-10):
     families").  Golden-section search therefore finds the global maximum.
     """
     fun = lambda t: chernoff_divergence_t(f0, f1, t)
-    t_star, val = _golden_max(fun, 1e-12, 1.0 - 1e-12, tol)
+    t_star, val = _golden_max(fun, 1e-12, 1.0 - 1e-12, 1e-10)
     return ChernoffReport(value=float(val), t_star=float(t_star), convention="scaled")
-
-
-def _as_matrix(a):
-    return a.directions if isinstance(a, Projection) else np.asarray(a, dtype=np.float64)
 
 
 def projected_chernoff_quadform(a, delta, sigma):
     """delta' A (A' Sigma A)^-1 A' delta (raw convention; scaled = /8)."""
-    a = _as_matrix(a)
+    a = as_matrix(a)
     delta = np.asarray(delta, dtype=np.float64)
     sigma = np.asarray(sigma, dtype=np.float64)
     proj_cov = a.T @ sigma @ a

@@ -1,10 +1,11 @@
 """LDA / QDA on embedded data, plus Gaussian Bayes-error oracles.
 
-Fitted covariances are MLE (divide by n) with a relative ridge of
-1e-8 * trace / d on the diagonal, which guards degenerate folds without
-perturbing well-conditioned problems beyond ~1e-6.  Prediction always
-uses the full discriminant including log-priors; argmax ties resolve to
-the lowest class index.
+All three score with one Gaussian discriminant: the argmax over classes of
+-1/2 (Mahalanobis distance + log det) + log prior, ties going to the
+lowest class index.  Fitted covariances are MLE (divide by n) with a
+relative ridge of 1e-8 * trace / d on the diagonal, which guards
+degenerate folds without perturbing well-conditioned problems beyond
+~1e-6.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from scipy import linalg as sla
 from scipy.stats import norm
 
 from .errors import ShapeMismatch, SingularProjectedCov, UnderdeterminedClassifier
-from .model import DataMatrix, GaussianModel, Projection, cov_as_dense
+from .model import DataMatrix, GaussianModel, as_matrix, cov_as_dense, jittered_cholesky
 
 RIDGE_REL = 1e-8
 
@@ -31,99 +32,86 @@ def _ridge(cov):
 
 
 @dataclass(frozen=True)
-class LdaClassifier:
+class GaussianClassifier:
+    """A fitted LDA or QDA rule.  LDA repeats its pooled covariance and
+    factor for every class, with zero log-determinants: a shared
+    log-determinant cancels in the argmax."""
+
     priors: np.ndarray       # (C,)
     means: np.ndarray        # (d, C)
-    covariance: np.ndarray   # (d, d) pooled within-class, ridge-stabilized
-    _chol: tuple
-
-    @property
-    def d(self):
-        return self.means.shape[0]
-
-
-@dataclass(frozen=True)
-class QdaClassifier:
-    priors: np.ndarray
-    means: np.ndarray
-    covariances: tuple       # one (d, d) per class
+    covariances: tuple       # one (d, d) per class, ridge-stabilized
     _chols: tuple
     _logdets: np.ndarray
 
 
-def _class_moments(x, labels, num_classes):
-    counts = np.bincount(labels, minlength=num_classes)
-    priors = counts / labels.shape[0]
-    means = np.empty((x.shape[0], num_classes))
-    for j in range(num_classes):
-        means[:, j] = x[:, labels == j].mean(axis=1)
-    return counts, priors, means
-
-
-def fit_lda(embedded: DataMatrix, labels, num_classes=None) -> LdaClassifier:
-    x = embedded.values
-    d, n = x.shape
-    if d > n:
-        raise UnderdeterminedClassifier(f"d={d} exceeds n={n}")
-    labels = np.asarray(labels, dtype=np.int64)
-    c = num_classes or int(labels.max()) + 1
-    _, priors, means = _class_moments(x, labels, c)
-    centered = x - means[:, labels]
-    cov = _ridge(centered @ centered.T / n)
+def _factor(cov):
     chol = sla.cho_factor(cov, lower=True)
-    return LdaClassifier(priors=priors, means=means, covariance=cov, _chol=chol)
+    return chol, 2.0 * np.sum(np.log(np.diag(chol[0])))
 
 
-def predict_lda(clf: LdaClassifier, embedded: DataMatrix):
-    x = embedded.values
-    if x.shape[0] != clf.d:
-        raise ShapeMismatch(f"classifier expects d={clf.d}, got {x.shape[0]}")
-    scores = np.empty((clf.priors.shape[0], x.shape[1]))
-    for j in range(clf.priors.shape[0]):
-        z = sla.cho_solve(clf._chol, x - clf.means[:, j : j + 1])
-        maha = np.einsum("ij,ij->j", x - clf.means[:, j : j + 1], z)
-        scores[j] = -0.5 * maha + np.log(clf.priors[j])
+def _discriminant(x, means, chols, logdets, priors):
+    """Predicted class of every column of x under the Gaussian classes
+    (means[:, j], chols[j], logdets[j], priors[j])."""
+    scores = np.empty((priors.shape[0], x.shape[1]))
+    for j in range(priors.shape[0]):
+        diff = x - means[:, j : j + 1]
+        maha = np.einsum("ij,ij->j", diff, sla.cho_solve(chols[j], diff))
+        scores[j] = -0.5 * (maha + logdets[j]) + np.log(priors[j])
     return np.argmax(scores, axis=0)
 
 
-def fit_qda(embedded: DataMatrix, labels, num_classes=None) -> QdaClassifier:
+def _class_moments(embedded: DataMatrix, labels, num_classes):
+    """(x, labels, counts, priors, means) of a training set, d <= n checked."""
     x = embedded.values
     d, n = x.shape
     if d > n:
         raise UnderdeterminedClassifier(f"d={d} exceeds n={n}")
     labels = np.asarray(labels, dtype=np.int64)
     c = num_classes or int(labels.max()) + 1
-    counts, priors, means = _class_moments(x, labels, c)
-    covs, chols, logdets = [], [], []
+    counts = np.bincount(labels, minlength=c)
+    means = np.empty((d, c))
     for j in range(c):
-        xc = x[:, labels == j] - means[:, j : j + 1]
-        cov = _ridge(xc @ xc.T / counts[j])
-        chol = sla.cho_factor(cov, lower=True)
-        covs.append(cov)
-        chols.append(chol)
-        logdets.append(2.0 * np.sum(np.log(np.diag(chol[0]))))
-    return QdaClassifier(
-        priors=priors,
-        means=means,
-        covariances=tuple(covs),
-        _chols=tuple(chols),
-        _logdets=np.array(logdets),
-    )
+        means[:, j] = x[:, labels == j].mean(axis=1)
+    return x, labels, counts, counts / n, means
 
 
-def predict_qda(clf: QdaClassifier, embedded: DataMatrix):
+def _predict(clf: GaussianClassifier, embedded: DataMatrix):
     x = embedded.values
-    if x.shape[0] != clf.means.shape[0]:
-        raise ShapeMismatch(
-            f"classifier expects d={clf.means.shape[0]}, got {x.shape[0]}"
-        )
-    scores = np.empty((clf.priors.shape[0], x.shape[1]))
-    for j in range(clf.priors.shape[0]):
-        diff = x - clf.means[:, j : j + 1]
-        z = sla.cho_solve(clf._chols[j], diff)
-        maha = np.einsum("ij,ij->j", diff, z)
-        scores[j] = -0.5 * (maha + clf._logdets[j]) + np.log(clf.priors[j])
-    return np.argmax(scores, axis=0)
+    d = clf.means.shape[0]
+    if x.shape[0] != d:
+        raise ShapeMismatch(f"classifier expects d={d}, got {x.shape[0]}")
+    return _discriminant(x, clf.means, clf._chols, clf._logdets, clf.priors)
+
+
+# LDA and QDA keep their own entry points: profilers tell them apart by function
+
+def fit_lda(embedded: DataMatrix, labels, num_classes=None) -> GaussianClassifier:
+    """LDA: one pooled within-class covariance."""
+    x, labels, _, priors, means = _class_moments(embedded, labels, num_classes)
+    centered = x - means[:, labels]
+    cov = _ridge(centered @ centered.T / x.shape[1])
+    chol = sla.cho_factor(cov, lower=True)
+    c = means.shape[1]
+    return GaussianClassifier(priors, means, (cov,) * c, (chol,) * c, np.zeros(c))
+
+
+def predict_lda(clf: GaussianClassifier, embedded: DataMatrix):
+    return _predict(clf, embedded)
+
+
+def fit_qda(embedded: DataMatrix, labels, num_classes=None) -> GaussianClassifier:
+    """QDA: one covariance per class."""
+    x, labels, counts, priors, means = _class_moments(embedded, labels, num_classes)
+    covs = []
+    for j in range(means.shape[1]):
+        xc = x[:, labels == j] - means[:, j : j + 1]
+        covs.append(_ridge(xc @ xc.T / counts[j]))
+    chols, logdets = zip(*map(_factor, covs))
+    return GaussianClassifier(priors, means, tuple(covs), chols, np.array(logdets))
+
+
+def predict_qda(clf: GaussianClassifier, embedded: DataMatrix):
+    return _predict(clf, embedded)
 
 
 def misclassification_rate(pred, truth):
@@ -134,18 +122,13 @@ def misclassification_rate(pred, truth):
     return float(np.mean(pred != truth))
 
 
-def _projected_two_class_params(model: GaussianModel, proj):
-    delta = model.means[:, 0] - model.means[:, 1]
-    cov = model.covariance_of(0)
-    if proj is None:
-        return delta, cov
-    a = proj.directions if isinstance(proj, Projection) else np.asarray(proj)
-    delta_a = a.T @ delta
-    if cov.ndim == 1:
-        cov_a = a.T @ (cov[:, None] * a)
-    else:
-        cov_a = a.T @ cov @ a
-    return delta_a, cov_a
+def _project(a, mean, cov):
+    """(A' mean, A' cov A) for a dense or diagonal-vector covariance;
+    unchanged when ``a`` is None."""
+    if a is None:
+        return mean, cov
+    cov_a = a.T @ (cov[:, None] * a) if cov.ndim == 1 else a.T @ cov @ a
+    return a.T @ mean, cov_a
 
 
 def bayes_error_two_class(model: GaussianModel, proj=None):
@@ -155,7 +138,8 @@ def bayes_error_two_class(model: GaussianModel, proj=None):
         raise ShapeMismatch("closed form needs C=2 with a shared covariance")
     if abs(model.priors[0] - 0.5) > 1e-12:
         raise ShapeMismatch("closed form needs equal priors")
-    delta, cov = _projected_two_class_params(model, proj)
+    a = None if proj is None else as_matrix(proj)
+    delta, cov = _project(a, model.means[:, 0] - model.means[:, 1], model.covariance_of(0))
     if cov.ndim == 1:
         if np.any(cov <= 0):
             raise SingularProjectedCov("diagonal covariance has nonpositive entries")
@@ -175,8 +159,7 @@ def _sample_class(model: GaussianModel, c, n, rng):
     if cov.ndim == 1:
         z = rng.standard_normal((model.p, n))
         return mean[:, None] + np.sqrt(cov)[:, None] * z
-    chol = np.linalg.cholesky(cov + 1e-12 * np.trace(cov) / model.p * np.eye(model.p))
-    return mean[:, None] + chol @ rng.standard_normal((model.p, n))
+    return mean[:, None] + jittered_cholesky(cov) @ rng.standard_normal((model.p, n))
 
 
 def bayes_error_monte_carlo(model: GaussianModel, proj=None, n_samples=100_000, seed=0):
@@ -186,22 +169,10 @@ def bayes_error_monte_carlo(model: GaussianModel, proj=None, n_samples=100_000, 
     rng = np.random.default_rng(seed)
     c = model.num_classes
     counts = rng.multinomial(n_samples, model.priors)
-    a = None
-    if proj is not None:
-        a = proj.directions if isinstance(proj, Projection) else np.asarray(proj)
-
-    # population-parameter Gaussian discriminant in the (projected) space
-    means, chols, logdets = [], [], []
-    for j in range(c):
-        cov = model.covariance_of(j)
-        mu = model.means[:, j]
-        if a is not None:
-            cov = a.T @ (cov[:, None] * a) if cov.ndim == 1 else a.T @ cov @ a
-            mu = a.T @ mu
-        chol = sla.cho_factor(cov_as_dense(cov), lower=True)
-        means.append(mu)
-        chols.append(chol)
-        logdets.append(2.0 * np.sum(np.log(np.diag(chol[0]))))
+    a = None if proj is None else as_matrix(proj)
+    params = [_project(a, model.means[:, j], model.covariance_of(j)) for j in range(c)]
+    means = np.column_stack([mu for mu, _ in params])
+    chols, logdets = zip(*(_factor(cov_as_dense(cov)) for _, cov in params))
 
     wrong = 0
     for j in range(c):
@@ -210,13 +181,7 @@ def bayes_error_monte_carlo(model: GaussianModel, proj=None, n_samples=100_000, 
         x = _sample_class(model, j, counts[j], rng)
         if a is not None:
             x = a.T @ x
-        scores = np.empty((c, counts[j]))
-        for m in range(c):
-            diff = x - means[m][:, None]
-            z = sla.cho_solve(chols[m], diff)
-            maha = np.einsum("ij,ij->j", diff, z)
-            scores[m] = -0.5 * (maha + logdets[m]) + np.log(model.priors[m])
-        wrong += int(np.sum(np.argmax(scores, axis=0) != j))
+        wrong += int(np.sum(_discriminant(x, means, chols, logdets, model.priors) != j))
     est = wrong / n_samples
     se = float(np.sqrt(max(est * (1 - est), 1e-12) / n_samples))
     return est, se

@@ -4,7 +4,10 @@ Every ``fit_*`` returns a :class:`~lolkit.model.Projection` whose columns
 are projection directions.  Methods built from a mean-difference block
 followed by eigenvectors (LOL, QOQ, RLOL, LFL) and the plain eigenvector
 methods (PCA, RR-LDA) are *nested*: the first d' columns of a d-dim fit
-equal the d'-dim fit on the same data and seed.
+equal the d'-dim fit on the same data and seed.  For the eigenvector
+blocks this holds only with an exact SVD (``svd_mode="exact"``, or
+``"auto"`` with min(p, n) <= EXACT_SVD_MAX_DIM): the randomized range
+finder sketches k + oversample columns, so its top directions depend on k.
 
 The mean-difference and eigenvector blocks are concatenated as they are,
 so their columns need not be mutually orthogonal.
@@ -27,12 +30,6 @@ from .model import (
 )
 
 
-def _sorted_class_order(priors):
-    # decreasing prior, ties broken by ascending class index
-    c = priors.shape[0]
-    return np.lexsort((np.arange(c), -priors))
-
-
 def _delta_block(locations, priors):
     """Unit-norm location-difference columns, p x (C-1), from per-class
     locations (p x C).
@@ -40,7 +37,7 @@ def _delta_block(locations, priors):
     Classes are sorted by decreasing prior (ties: ascending index) and
     column j is loc_(1) - loc_(j+1), normalized.
     """
-    order = _sorted_class_order(priors)
+    order = np.lexsort((np.arange(priors.shape[0]), -priors))
     loc = locations[:, order]
     deltas = loc[:, 0:1] - loc[:, 1:]
     norms = np.linalg.norm(deltas, axis=0)
@@ -59,71 +56,67 @@ def mean_difference_matrix(stats: ClassStats) -> np.ndarray:
     return _delta_block(stats.class_means, stats.priors)
 
 
-def _assemble(delta, eigvecs, tag, seed=None):
-    cols = np.hstack([delta, eigvecs]) if eigvecs.shape[1] else delta
+def _extra_dims(dataset, d):
+    """Columns a delta-first fit adds after its C-1 mean differences."""
+    c = dataset.num_classes
+    if d < c - 1:
+        raise TooFewDims(f"d={d} below C-1={c - 1}")
+    return d - (c - 1)
+
+
+def _assemble(delta, extra, tag, seed=None):
+    cols = delta if extra is None else np.hstack([delta, extra])
     return Projection(cols, method_tag=tag, seed=seed)
 
 
 def fit_lol(dataset: LabeledDataset, d, svd_mode="auto", seed=0) -> Projection:
     """Mean-difference columns followed by the top eigenvectors of the
     class-conditionally centered data."""
-    c = dataset.num_classes
-    if d < c - 1:
-        raise TooFewDims(f"d={d} below C-1={c - 1}")
+    k = _extra_dims(dataset, d)
     if d > dataset.p:
         raise TooFewDims(f"d={d} exceeds p={dataset.p}")
     stats = class_stats(dataset)
     delta = mean_difference_matrix(stats)
-    k = d - (c - 1)
-    if k > 0:
+    eig = None
+    if k:
         centered = center_class_conditional(dataset, stats)
         eig = truncated_svd(centered.values, k, mode=svd_mode, seed=seed).U
-    else:
-        eig = np.empty((dataset.p, 0))
     return _assemble(delta, eig, "lol", seed)
+
+
+def _top_directions(dataset, d, center, tag, svd_mode, seed):
+    # top-d left singular vectors of the data centered by ``center``
+    centered = center(dataset, class_stats(dataset))
+    u = truncated_svd(centered.values, d, mode=svd_mode, seed=seed).U
+    return Projection(u, method_tag=tag, seed=seed)
 
 
 def fit_pca(dataset: LabeledDataset, d, svd_mode="auto", seed=0) -> Projection:
     """Top-d eigenvectors of the pooled-centered data (label-blind)."""
-    stats = class_stats(dataset)
-    centered = center_pooled(dataset, stats)
-    u = truncated_svd(centered.values, d, mode=svd_mode, seed=seed).U
-    return Projection(u, method_tag="pca", seed=seed)
+    return _top_directions(dataset, d, center_pooled, "pca", svd_mode, seed)
 
 
 def fit_rrlda(dataset: LabeledDataset, d, svd_mode="auto", seed=0) -> Projection:
     """Top-d eigenvectors of the class-conditionally centered data."""
-    stats = class_stats(dataset)
-    centered = center_class_conditional(dataset, stats)
-    u = truncated_svd(centered.values, d, mode=svd_mode, seed=seed).U
-    return Projection(u, method_tag="rrlda", seed=seed)
+    return _top_directions(dataset, d, center_class_conditional, "rrlda", svd_mode, seed)
 
 
 def fit_qoq(dataset: LabeledDataset, d, svd_mode="auto", seed=0) -> Projection:
     """Per-class eigenvectors merged by decreasing singular value, with
     the mean-difference block prepended."""
-    c = dataset.num_classes
-    if d < c - 1:
-        raise TooFewDims(f"d={d} below C-1={c - 1}")
-    stats = class_stats(dataset)
-    delta = mean_difference_matrix(stats)
-    k = d - (c - 1)
-    if k > 0:
-        vecs, svals, keys = [], [], []
-        for j in range(c):
+    k = _extra_dims(dataset, d)
+    delta = mean_difference_matrix(class_stats(dataset))
+    eig = None
+    if k:
+        svds = []
+        for j in range(dataset.num_classes):
             xc = dataset.data.values[:, dataset.labels == j]
             xc = xc - xc.mean(axis=1, keepdims=True)
-            kk = min(xc.shape[0], xc.shape[1])
-            res = truncated_svd(xc, kk, mode=svd_mode, seed=seed)
-            for i in range(kk):
-                vecs.append(res.U[:, i])
-                svals.append(res.S[i])
-                keys.append((j, i))
-        # decreasing singular value; deterministic tie-break on (class, index)
-        order = sorted(range(len(svals)), key=lambda t: (-svals[t], keys[t]))
-        eig = np.column_stack([vecs[i] for i in order[:k]])
-    else:
-        eig = np.empty((dataset.p, 0))
+            svds.append(truncated_svd(xc, min(xc.shape), mode=svd_mode, seed=seed))
+        # decreasing singular value; the stable sort breaks ties by
+        # (class, index), the order the blocks are stacked in
+        order = np.argsort(-np.concatenate([r.S for r in svds]), kind="stable")
+        eig = np.hstack([r.U for r in svds])[:, order[:k]]
     return _assemble(delta, eig, "qoq", seed)
 
 
@@ -144,9 +137,8 @@ def _winsorize_by_mad(z):
 def fit_rlol(dataset: LabeledDataset, d, svd_mode="auto", seed=0) -> Projection:
     """Robust LOL: class medians as locations, MAD-winsorized centered
     data for the eigenvector block."""
+    k = _extra_dims(dataset, d)
     c = dataset.num_classes
-    if d < c - 1:
-        raise TooFewDims(f"d={d} below C-1={c - 1}")
     x = dataset.data.values
     y = dataset.labels
     medians = np.empty((dataset.p, c))
@@ -154,12 +146,10 @@ def fit_rlol(dataset: LabeledDataset, d, svd_mode="auto", seed=0) -> Projection:
         medians[:, j] = np.median(x[:, y == j], axis=1)
     priors = np.bincount(y, minlength=c) / dataset.n
     delta = _delta_block(medians, priors)
-    k = d - (c - 1)
-    if k > 0:
+    eig = None
+    if k:
         centered = x - medians[:, y]
         eig = truncated_svd(_winsorize_by_mad(centered), k, mode=svd_mode, seed=seed).U
-    else:
-        eig = np.empty((dataset.p, 0))
     return _assemble(delta, eig, "rlol", seed)
 
 
@@ -176,16 +166,9 @@ def _unit_columns(m):
 
 def fit_lfl(dataset: LabeledDataset, d, seed=0) -> Projection:
     """LOL with very sparse random directions replacing the eigenvectors."""
-    c = dataset.num_classes
-    if d < c - 1:
-        raise TooFewDims(f"d={d} below C-1={c - 1}")
-    stats = class_stats(dataset)
-    delta = mean_difference_matrix(stats)
-    k = d - (c - 1)
-    if k > 0:
-        rand = _unit_columns(sparse_random_columns(dataset.p, k, seed))
-    else:
-        rand = np.empty((dataset.p, 0))
+    k = _extra_dims(dataset, d)
+    delta = mean_difference_matrix(class_stats(dataset))
+    rand = _unit_columns(sparse_random_columns(dataset.p, k, seed)) if k else None
     return _assemble(delta, rand, "lfl", seed)
 
 
@@ -205,7 +188,12 @@ def fit_lrcca(dataset: LabeledDataset, d) -> Projection:
     return Projection(vecs, method_tag="cca")
 
 
-def fit_pls(dataset: LabeledDataset, d, tol=1e-10, max_iter=500) -> Projection:
+# NIPALS: relative tolerance on successive score vectors, iteration cap
+PLS_TOL = 1e-10
+PLS_MAX_ITER = 500
+
+
+def fit_pls(dataset: LabeledDataset, d) -> Projection:
     """NIPALS PLS2 weight vectors against one-hot class labels.
 
     X is pooled-centered and Y row-centered internally; successive
@@ -224,7 +212,7 @@ def fit_pls(dataset: LabeledDataset, d, tol=1e-10, max_iter=500) -> Projection:
     for comp in range(d):
         u = yres[np.argmax(np.einsum("ij,ij->i", yres, yres))]
         t_old = None
-        for _ in range(max_iter):
+        for _ in range(PLS_MAX_ITER):
             w = x @ u
             nw = np.linalg.norm(w)
             if nw == 0:
@@ -236,7 +224,7 @@ def fit_pls(dataset: LabeledDataset, d, tol=1e-10, max_iter=500) -> Projection:
                 raise PlsNoConvergence(comp, f"zero score vector at component {comp}")
             q = yres @ t / tt
             u = yres.T @ q / (q @ q)
-            if t_old is not None and np.linalg.norm(t - t_old) <= tol * np.linalg.norm(t):
+            if t_old is not None and np.linalg.norm(t - t_old) <= PLS_TOL * np.linalg.norm(t):
                 break
             t_old = t
         else:
@@ -269,29 +257,30 @@ def save_projection(proj: Projection, path):
     ]
     for j in range(proj.d):
         lines.append(",".join(f"{v:.17g}" for v in proj.directions[:, j]))
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def load_projection(path) -> Projection:
-    """Read a save_projection file; a malformed or truncated one raises
-    ShapeMismatch, and so does one that cannot be opened."""
+    """Read a save_projection file; a malformed, truncated or non-UTF-8
+    one raises ShapeMismatch, and so does one that cannot be opened."""
     try:
-        fh = open(path)
+        fh = open(path, encoding="utf-8")
     except OSError as exc:
         raise ShapeMismatch(f"{path}: cannot open: {exc.strerror}") from None
     with fh:
-        header = fh.readline().strip().split(",")
-        if len(header) != 6 or header[:2] != ["lolkit-projection", "v1"]:
-            raise ShapeMismatch(f"not a v1 projection file: {path}")
         try:
+            header = fh.readline().strip().split(",")
+            if len(header) != 6 or header[:2] != ["lolkit-projection", "v1"]:
+                raise ShapeMismatch(f"not a v1 projection file: {path}")
             p, d = int(header[2]), int(header[3])
             seed = int(header[5]) if header[5] else None
             # a list rather than a p x d buffer, so a corrupt d cannot
             # allocate more than the file holds
             cols = [np.array(fh.readline().split(","), dtype=np.float64) for _ in range(d)]
-        except ValueError as exc:
+            trailing = fh.read().strip()
+        except ValueError as exc:  # UnicodeDecodeError included
             raise ShapeMismatch(f"{path}: malformed projection file ({exc})") from None
-        if d < 1 or any(col.shape != (p,) for col in cols) or fh.read().strip():
+        if d < 1 or any(col.shape != (p,) for col in cols) or trailing:
             raise ShapeMismatch(f"{path}: expected {d} lines of {p} values after the header")
     return Projection(np.column_stack(cols), method_tag=header[4], seed=seed)

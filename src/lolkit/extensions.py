@@ -139,13 +139,12 @@ class EmbeddedRegression:
         return self.intercept + self.coef @ e.values
 
 
-def lol_regression(x: DataMatrix, y, num_bins=4, d=5, svd_mode="auto",
-                   seed=0) -> EmbeddedRegression:
+def lol_regression(x: DataMatrix, y, num_bins=4, d=5, seed=0) -> EmbeddedRegression:
     """Quantile-partition the target, fit LOL on the induced classes,
     then ordinary least squares with intercept on the embedded data."""
     part = quantile_partition(y, num_bins)
     dataset = LabeledDataset(x, part.labels, part.num_classes)
-    proj = fit_projection("lol", dataset, d, svd_mode, seed)
+    proj = fit_projection("lol", dataset, d, seed=seed)
     e = embed(proj, x).values
     design = np.vstack([np.ones(e.shape[1]), e]).T
     beta, *_ = np.linalg.lstsq(design, np.asarray(y, dtype=np.float64), rcond=None)

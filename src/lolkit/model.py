@@ -98,9 +98,10 @@ class ClassStats:
 class Projection:
     """p x d matrix of projection directions (columns, ordered).
 
-    Columns of eigenvector- and delta-based fits are unit-norm, and for
+    Columns of eigenvector- and delta-based fits are unit-norm.  For
     those methods the first d' columns of a d-dim fit equal the d'-dim
-    fit exactly (same data, same seed).
+    fit exactly (same data, same seed) when the SVD is exact; randomized
+    SVD fits do not nest.
     """
 
     directions: np.ndarray
@@ -180,10 +181,22 @@ class GaussianModel:
         return self.covariances[0] if self.shared else self.covariances[c]
 
 
+def as_matrix(proj):
+    """The p x d direction matrix of a Projection, or an array as float64."""
+    return proj.directions if isinstance(proj, Projection) else np.asarray(proj, dtype=np.float64)
+
+
 def cov_as_dense(cov):
     """Materialize a (possibly diagonal-vector) covariance as p x p."""
     cov = np.asarray(cov, dtype=np.float64)
     return np.diag(cov) if cov.ndim == 1 else cov
+
+
+def jittered_cholesky(cov):
+    """Lower Cholesky factor of a dense p x p covariance plus a diagonal
+    jitter of 1e-12 * trace / p, so singular PSD covariances factor."""
+    p = cov.shape[0]
+    return np.linalg.cholesky(cov + 1e-12 * np.trace(cov) / p * np.eye(p))
 
 
 def class_stats(dataset: LabeledDataset) -> ClassStats:

@@ -16,7 +16,7 @@ from scipy.linalg import toeplitz
 from .classifiers import bayes_error_monte_carlo, bayes_error_two_class
 from .errors import BadRho, PTooSmall, ShapeMismatch
 from .linalg import random_rotation
-from .model import DataMatrix, GaussianModel, LabeledDataset
+from .model import DataMatrix, GaussianModel, LabeledDataset, jittered_cholesky
 
 FAMILIES = (
     "stacked_cigars",
@@ -200,10 +200,6 @@ def population_model(spec: SimSpec) -> GaussianModel:
     return _build_model(spec, np.random.default_rng(spec.seed))
 
 
-def _shared_chol(cov, p):
-    return np.linalg.cholesky(cov + 1e-12 * np.trace(cov) / p * np.eye(p))
-
-
 def sample(spec: SimSpec) -> SimSample | RegressionSample:
     """Draw n iid samples from the family's mixture; returns the data and
     the exact population parameters used."""
@@ -213,7 +209,7 @@ def sample(spec: SimSpec) -> SimSample | RegressionSample:
 
     if spec.family == "regression_linear":
         sigma = _toeplitz_sigma(p, prm["rho"], prm["frobenius"])
-        x = _shared_chol(sigma, p) @ rng.standard_normal((p, n))
+        x = jittered_cholesky(sigma) @ rng.standard_normal((p, n))
         coef = np.zeros(p)
         c = np.asarray(prm["coef"], dtype=np.float64)
         coef[: c.shape[0]] = c
@@ -248,8 +244,7 @@ def sample(spec: SimSpec) -> SimSample | RegressionSample:
         if cov.ndim == 1:
             x = _sample_shared_diag(model.means, cov, y, rng)
         else:
-            chol = _shared_chol(cov, p)
-            x = model.means[:, y] + chol @ rng.standard_normal((p, n))
+            x = model.means[:, y] + jittered_cholesky(cov) @ rng.standard_normal((p, n))
     else:
         z = rng.standard_normal((p, n))
         x = np.empty((p, n))
@@ -259,7 +254,7 @@ def sample(spec: SimSpec) -> SimSample | RegressionSample:
             if cc.ndim == 1:
                 x[:, mask] = model.means[:, c, None] + np.sqrt(cc)[:, None] * z[:, mask]
             else:
-                x[:, mask] = model.means[:, c, None] + _shared_chol(cc, p) @ z[:, mask]
+                x[:, mask] = model.means[:, c, None] + jittered_cholesky(cc) @ z[:, mask]
     return SimSample(LabeledDataset(DataMatrix(x), y, 2), model)
 
 

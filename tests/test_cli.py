@@ -172,18 +172,28 @@ def test_structured_error_and_exit_code(tmp_path, capsys):
 def test_missing_input_files_are_structured_errors(tmp_path, capsys):
     out = tmp_path / "sim"
     run(["sim", "--family", "trunk", "--p", "10", "--n", "40", "--output-dir", str(out)])
-    data = str(out / "dataset.csv")
-    cases = {
-        "ParseFailure": ["fit", "--input", str(tmp_path / "nope.csv"), "--alg", "lol",
-                         "--d", "2", "--output", str(tmp_path / "p.txt")],
-        "ShapeMismatch": ["embed", "--input", data, "--projection", str(tmp_path / "nope.txt"),
-                          "--output", str(tmp_path / "e.csv")],
-    }
-    for error, argv in cases.items():
-        assert run(argv) == 2, error
+    data = out / "dataset.csv"
+    proj = tmp_path / "proj.txt"
+    assert run(["fit", "--input", str(data), "--alg", "lol", "--d", "2",
+                "--output", str(proj)]) == 0
+    # undecodable bytes fail like missing files: exit 2, the path in the message
+    bad_csv = tmp_path / "bad.csv"
+    bad_csv.write_bytes(data.read_bytes().replace(b"\n", b"\n\xff", 1))
+    bad_proj = tmp_path / "bad.txt"
+    bad_proj.write_bytes(b"\xff" + proj.read_bytes())
+    fit = ["fit", "--alg", "lol", "--d", "2", "--output", str(tmp_path / "p.txt"), "--input"]
+    embed = ["embed", "--input", str(data), "--output", str(tmp_path / "e.csv"),
+             "--projection"]
+    for error, argv in [("ParseFailure", fit + [str(tmp_path / "nope.csv")]),
+                        ("ShapeMismatch", embed + [str(tmp_path / "nope.txt")]),
+                        ("ParseFailure", fit + [str(bad_csv)]),
+                        ("ShapeMismatch", embed + [str(bad_proj)])]:
+        assert run(argv) == 2, argv
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == error
-        assert "nope." in err["message"]
+        assert argv[-1] in err["message"]
+    assert not (tmp_path / "p.txt").exists()
+    assert not (tmp_path / "e.csv").exists()
 
 
 @pytest.mark.parametrize("d_max", ["-3", "0"])
