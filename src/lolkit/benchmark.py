@@ -18,6 +18,8 @@ import math
 import os
 import warnings
 from dataclasses import dataclass
+from itertools import chain, product
+from operator import itemgetter
 
 import numpy as np
 
@@ -37,6 +39,12 @@ from .model import DataMatrix, LabeledDataset
 SCHEMA_VERSION = 1
 
 _MISSING = {"", "na", "nan", "n/a", "?", "null", "none"}
+# every upper/lower-case spelling of a _MISSING token.  No character
+# outside ASCII lowers to a character of these tokens, so a cell is in
+# this set exactly when cell.lower() is in _MISSING.
+_MISSING_ANY_CASE = frozenset(
+    "".join(spelling) for token in _MISSING for spelling in product(*zip(token, token.upper()))
+)
 
 # features with fewer distinct values than this are one-hot encoded
 ONE_HOT_THRESHOLD = 10
@@ -63,23 +71,28 @@ def load_csv(path, label_column) -> LoadedCsv:
     except OSError as exc:
         raise ParseFailure(f"{path}: cannot open: {exc.strerror}") from None
     with fh:
+        reader = None
         try:
             first = fh.readline()
             if not first:
                 raise ParseFailure(f"{path}: empty file")
             delimiter = "\t" if "\t" in first else ","
             header = next(csv.reader([first], delimiter=delimiter))
+            reader = csv.reader(fh, delimiter=delimiter)
             rows = []
-            for lineno, row in enumerate(csv.reader(fh, delimiter=delimiter), start=2):
+            for lineno, row in enumerate(reader, start=2):
                 if not row:
                     continue
                 if len(row) != len(header):
                     raise ParseFailure(
                         f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
                     )
-                rows.append([cell.strip() for cell in row])
+                rows.append(list(map(str.strip, row)))
         except UnicodeDecodeError as exc:
             raise ParseFailure(f"{path}: not UTF-8 text ({exc.reason})") from None
+        except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+            line = 1 if reader is None else reader.line_num + 1
+            raise ParseFailure(f"{path}:{line}: {exc}") from None
 
     if isinstance(label_column, int):
         label_idx = label_column
@@ -91,7 +104,7 @@ def load_csv(path, label_column) -> LoadedCsv:
         except ValueError:
             raise ParseFailure(f"label column {label_column!r} not in header") from None
 
-    kept = [r for r in rows if not any(c.lower() in _MISSING for c in r)]
+    kept = [r for r in rows if _MISSING_ANY_CASE.isdisjoint(r)]
     n_dropped = len(rows) - len(kept)
     if len(kept) < 2:
         raise DegenerateLabels(f"{path}: fewer than 2 complete rows")
@@ -103,32 +116,60 @@ def load_csv(path, label_column) -> LoadedCsv:
     mapping = {v: i for i, v in enumerate(classes)}
     labels = np.array([mapping[v] for v in raw_labels], dtype=np.int64)
 
-    feature_cols = []
+    # feature row blocks in header order: (first row, column, sorted levels
+    # for a one-hot column or None for a numeric one)
+    blocks = []
     feature_names = []
     for j, name in enumerate(header):
         if j == label_idx:
             continue
-        col = [r[j] for r in kept]
-        uniq = sorted(set(col))
-        if len(uniq) < ONE_HOT_THRESHOLD:
-            for v in uniq:
-                feature_names.append(f"{name}={v}")
-                feature_cols.append(np.array([1.0 if c == v else 0.0 for c in col]))
-        else:
-            try:
-                feature_cols.append(np.array([float(c) for c in col]))
-            except ValueError as exc:
-                raise ParseFailure(
-                    f"{path}: column {name!r} is non-numeric with "
-                    f"{len(uniq)} distinct values"
-                ) from exc
+        levels = _few_levels(kept, j)
+        blocks.append((len(feature_names), j, levels))
+        if levels is None:
             feature_names.append(name)
-
-    if not feature_cols:
+        else:
+            feature_names.extend(f"{name}={v}" for v in levels)
+    if not feature_names:
         raise ParseFailure(f"{path}: no feature columns")
-    x = np.vstack(feature_cols)  # p x n
+
+    n = len(kept)
+    x = np.empty((len(feature_names), n))  # p x n
+    numeric = [j for _, j, levels in blocks if levels is None]
+    if numeric:
+        get = itemgetter(*numeric)
+        cells = map(get, kept) if len(numeric) == 1 else chain.from_iterable(map(get, kept))
+        try:
+            values = np.fromiter(map(float, cells), np.float64, n * len(numeric))
+        except ValueError:
+            for j in numeric:  # name the first column float() rejects
+                col = list(map(itemgetter(j), kept))
+                try:
+                    list(map(float, col))
+                except ValueError as exc:
+                    raise ParseFailure(
+                        f"{path}: column {header[j]!r} is non-numeric with "
+                        f"{len(set(col))} distinct values"
+                    ) from exc
+            raise
+        x[[row for row, _, levels in blocks if levels is None]] = values.reshape(n, -1).T
+    for row, j, levels in blocks:
+        if levels is not None:
+            code = {v: i for i, v in enumerate(levels)}
+            codes = np.fromiter(map(code.__getitem__, map(itemgetter(j), kept)), np.intp, n)
+            x[row:row + len(levels)] = codes == np.arange(len(levels))[:, None]
     dataset = LabeledDataset(DataMatrix(x), labels, len(classes))
     return LoadedCsv(dataset, tuple(feature_names), mapping, n_dropped)
+
+
+def _few_levels(rows, j):
+    """Sorted distinct values of column ``j`` if there are fewer than
+    ONE_HOT_THRESHOLD of them, else None; stops counting at the threshold."""
+    seen = set()
+    for r in rows:
+        seen.add(r[j])
+        if len(seen) >= ONE_HOT_THRESHOLD:
+            return None
+    return sorted(seen)
 
 
 @dataclass(frozen=True)

@@ -51,7 +51,7 @@ def _samples_csv(prefix, values, last_name, last_fields):
     """One line per sample (column of ``values``): its entries in
     round-trip %.17g, then its entry of ``last_fields``."""
     header = [f"{prefix}{i}" for i in range(values.shape[0])] + [last_name]
-    rows = (itertools.chain((f"{v:.17g}" for v in values[:, i]), (last,))
+    rows = (itertools.chain(map("{:.17g}".format, values[:, i].tolist()), (last,))
             for i, last in enumerate(last_fields))
     return _csv_text(header, rows)
 
@@ -73,7 +73,7 @@ def cmd_sim(args):
     if isinstance(sim, simulations.RegressionSample):
         _atomic_write(os.path.join(args.output_dir, "dataset.csv"),
                       _samples_csv("f", sim.data.values, "target",
-                                   (f"{v:.17g}" for v in sim.targets)))
+                                   map("{:.17g}".format, sim.targets.tolist())))
         _write_json(os.path.join(args.output_dir, "model.json"),
                     {"family": args.family, "coef": sim.coef.tolist()})
         return 0
@@ -142,6 +142,9 @@ def cmd_bench(args):
 
 
 def cmd_chernoff(args):
+    if args.instances < 1 or args.max_p < 2:
+        raise ParseFailure(f"need --instances >= 1 and --max-p >= 2, got "
+                           f"{args.instances} and {args.max_p}")
     rng = np.random.default_rng(args.seed)
     worst_lda = np.inf
     worst_pca = np.inf

@@ -251,12 +251,16 @@ def embed(proj: Projection, m: DataMatrix) -> DataMatrix:
 #                  (column-major, round-trip exact)
 
 def save_projection(proj: Projection, path):
+    """Write ``proj`` in the v1 text format; a ``method_tag`` holding a
+    comma or a line break raises ShapeMismatch before the file is opened."""
+    if any(ch in proj.method_tag for ch in ",\n\r"):
+        raise ShapeMismatch(f"method tag {proj.method_tag!r} holds a comma or a line break")
     lines = [
         f"lolkit-projection,v1,{proj.p},{proj.d},{proj.method_tag},"
         f"{'' if proj.seed is None else proj.seed}"
     ]
     for j in range(proj.d):
-        lines.append(",".join(f"{v:.17g}" for v in proj.directions[:, j]))
+        lines.append(",".join(map("{:.17g}".format, proj.directions[:, j].tolist())))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 

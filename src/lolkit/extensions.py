@@ -71,6 +71,8 @@ def projected_test_power(spec: SimSpec, method, d, alpha=0.05, reps=200, seed=0,
     m = n_per_group or spec.n // 2
     if m < 2:
         raise ShapeMismatch("need at least 2 samples per group")
+    if reps < 1:
+        raise ShapeMismatch(f"reps={reps} must be at least 1")
     rejections = 0
     for rep in range(reps):
         rs = _rep_seed(seed, rep)

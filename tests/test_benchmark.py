@@ -1,11 +1,14 @@
 import contextlib
 import json
+import sys
 
 import numpy as np
 import pytest
 
 from lolkit import benchmark
 from lolkit.benchmark import (
+    _MISSING,
+    _MISSING_ANY_CASE,
     ALGORITHMS,
     ErrorCurve,
     curves_rows,
@@ -94,6 +97,21 @@ def test_load_csv_errors(tmp_path):
     bad.write_bytes(b"a,label\n1,0\n\xff,1\n3,0\n")
     with pytest.raises(ParseFailure, match="bytes.csv: not UTF-8"):
         load_csv(bad, "label")
+    huge = write(tmp_path, "a,label\n1,0\n" + "9" * 200_000 + ",1\n", name="huge.csv")
+    with pytest.raises(ParseFailure, match=r"huge.csv:3: field larger than field limit"):
+        load_csv(huge, "label")
+
+
+def test_missing_tokens_in_any_case_are_the_lowercase_rule():
+    # the loader tests cells against every case spelling of the tokens,
+    # which equals testing cell.lower() only if no other character lowers
+    # to a character of a token
+    token_chars = set("".join(_MISSING))
+    odd = [c for c in map(chr, range(sys.maxunicode + 1))
+           if not c.isascii() and not token_chars.isdisjoint(c.lower())]
+    assert odd == []
+    assert {s.lower() for s in _MISSING_ANY_CASE} == _MISSING
+    assert "nOnE" in _MISSING_ANY_CASE and "N/a" in _MISSING_ANY_CASE
 
 
 def test_make_fold_plan_subsample_sizes():

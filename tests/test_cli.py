@@ -215,3 +215,27 @@ def test_bench_threads_flag_is_gone(tmp_path, capsys):
              "--output-dir", str(tmp_path / "b")])
     assert exc.value.code == 2
     assert "--threads" in capsys.readouterr().err
+
+
+def test_oversized_csv_field_is_a_structured_error(tmp_path, capsys):
+    data = tmp_path / "huge.csv"
+    data.write_text("a,label\n1,0\n" + "9" * 200_000 + ",1\n2,0\n")
+    code = run(["fit", "--input", str(data), "--alg", "lol", "--d", "1",
+                "--output", str(tmp_path / "p.txt")])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ParseFailure"
+    assert f"{data}:3:" in err["message"]
+    assert not (tmp_path / "p.txt").exists()
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["test", "--family", "trunk", "--p", "10", "--reps", "0"], "ShapeMismatch"),
+    (["chernoff", "--max-p", "1"], "ParseFailure"),
+    (["chernoff", "--instances", "0"], "ParseFailure"),
+])
+def test_argument_ranges_are_structured_errors(capsys, argv, error):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert json.loads(captured.err)["error"] == error
+    assert captured.out == ""

@@ -16,9 +16,9 @@ from lolkit.embeddings import (
     mean_difference_matrix,
     save_projection,
 )
-from lolkit.errors import CcaRankExceeded, DegenerateMeans, TooFewDims
+from lolkit.errors import CcaRankExceeded, DegenerateMeans, ShapeMismatch, TooFewDims
 from lolkit.linalg import random_rotation
-from lolkit.model import DataMatrix, LabeledDataset, class_stats
+from lolkit.model import DataMatrix, LabeledDataset, Projection, class_stats
 from lolkit.simulations import SimSpec, sample
 
 
@@ -314,3 +314,11 @@ def test_projection_round_trip(tmp_path):
     assert np.array_equal(back.directions, proj.directions)
     assert back.method_tag == proj.method_tag
     assert back.seed == proj.seed
+
+
+@pytest.mark.parametrize("tag", ["a,b", "a\nb", "a\rb"])
+def test_save_projection_rejects_tags_the_format_cannot_hold(tmp_path, tag):
+    path = tmp_path / "proj.txt"
+    with pytest.raises(ShapeMismatch, match="method tag"):
+        save_projection(Projection(np.ones((2, 1)), tag), path)
+    assert not path.exists()
