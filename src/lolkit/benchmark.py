@@ -18,8 +18,7 @@ import math
 import os
 import warnings
 from dataclasses import dataclass
-from itertools import chain, product
-from operator import itemgetter
+from itertools import product
 
 import numpy as np
 
@@ -65,6 +64,8 @@ def load_csv(path, label_column) -> LoadedCsv:
     missing entry are dropped; feature columns with fewer than
     ONE_HOT_THRESHOLD unique values are one-hot encoded; the rest must
     parse as reals.  ``label_column`` is a header name or integer index.
+    Each row is parsed as it is read (see _FeatureRows), so the cells are
+    never all held as strings at once.
     """
     try:
         fh = open(path, newline="", encoding="utf-8")
@@ -78,8 +79,11 @@ def load_csv(path, label_column) -> LoadedCsv:
                 raise ParseFailure(f"{path}: empty file")
             delimiter = "\t" if "\t" in first else ","
             header = next(csv.reader([first], delimiter=delimiter))
+            # a bad label column is reported once the whole file has parsed
+            label_idx, label_error = _label_index(header, label_column)
+            table = None if label_error is not None else _FeatureRows(len(header), label_idx)
             reader = csv.reader(fh, delimiter=delimiter)
-            rows = []
+            n_rows = 0
             for lineno, row in enumerate(reader, start=2):
                 if not row:
                     continue
@@ -87,89 +91,141 @@ def load_csv(path, label_column) -> LoadedCsv:
                     raise ParseFailure(
                         f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
                     )
-                rows.append(list(map(str.strip, row)))
+                n_rows += 1
+                if table is not None:
+                    row = list(map(str.strip, row))
+                    if _MISSING_ANY_CASE.isdisjoint(row):
+                        table.add(row)
         except UnicodeDecodeError as exc:
             raise ParseFailure(f"{path}: not UTF-8 text ({exc.reason})") from None
         except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
             line = 1 if reader is None else reader.line_num + 1
             raise ParseFailure(f"{path}:{line}: {exc}") from None
+    if label_error is not None:
+        raise label_error
 
-    if isinstance(label_column, int):
-        label_idx = label_column
-        if not 0 <= label_idx < len(header):
-            raise ParseFailure(f"label column index {label_column} out of range")
-    else:
-        try:
-            label_idx = header.index(label_column)
-        except ValueError:
-            raise ParseFailure(f"label column {label_column!r} not in header") from None
-
-    kept = [r for r in rows if _MISSING_ANY_CASE.isdisjoint(r)]
-    n_dropped = len(rows) - len(kept)
-    if len(kept) < 2:
+    n = len(table.labels)
+    if n < 2:
         raise DegenerateLabels(f"{path}: fewer than 2 complete rows")
-
-    raw_labels = [r[label_idx] for r in kept]
-    classes = sorted(set(raw_labels))
+    classes = sorted(set(table.labels))
     if len(classes) < 2:
         raise DegenerateLabels(f"{path}: fewer than 2 classes after cleaning")
     mapping = {v: i for i, v in enumerate(classes)}
-    labels = np.array([mapping[v] for v in raw_labels], dtype=np.int64)
+    labels = np.array([mapping[v] for v in table.labels], dtype=np.int64)
 
-    # feature row blocks in header order: (first row, column, sorted levels
-    # for a one-hot column or None for a numeric one)
-    blocks = []
-    feature_names = []
-    for j, name in enumerate(header):
-        if j == label_idx:
-            continue
-        levels = _few_levels(kept, j)
-        blocks.append((len(feature_names), j, levels))
-        if levels is None:
-            feature_names.append(name)
-        else:
-            feature_names.extend(f"{name}={v}" for v in levels)
-    if not feature_names:
+    if not table.columns:
         raise ParseFailure(f"{path}: no feature columns")
+    one_hot = table.one_hot()
+    for k, j in enumerate(table.columns):
+        if k in table.unparsed and k not in one_hot:
+            raise ParseFailure(
+                f"{path}: column {header[j]!r} is non-numeric with "
+                f"{_count_distinct(path, delimiter, j)} distinct values"
+            )
 
-    n = len(kept)
-    x = np.empty((len(feature_names), n))  # p x n
-    numeric = [j for _, j, levels in blocks if levels is None]
-    if numeric:
-        get = itemgetter(*numeric)
-        cells = map(get, kept) if len(numeric) == 1 else chain.from_iterable(map(get, kept))
-        try:
-            values = np.fromiter(map(float, cells), np.float64, n * len(numeric))
-        except ValueError:
-            for j in numeric:  # name the first column float() rejects
-                col = list(map(itemgetter(j), kept))
-                try:
-                    list(map(float, col))
-                except ValueError as exc:
-                    raise ParseFailure(
-                        f"{path}: column {header[j]!r} is non-numeric with "
-                        f"{len(set(col))} distinct values"
-                    ) from exc
-            raise
-        x[[row for row, _, levels in blocks if levels is None]] = values.reshape(n, -1).T
-    for row, j, levels in blocks:
-        if levels is not None:
-            code = {v: i for i, v in enumerate(levels)}
-            codes = np.fromiter(map(code.__getitem__, map(itemgetter(j), kept)), np.intp, n)
-            x[row:row + len(levels)] = codes == np.arange(len(levels))[:, None]
+    parsed = np.stack(table.values, axis=1)  # one row per feature column
+    feature_names, blocks = [], []
+    for k, j in enumerate(table.columns):
+        if k in one_hot:
+            levels, codes = one_hot[k]
+            feature_names.extend(f"{header[j]}={v}" for v in levels)
+            blocks.append(codes == np.arange(len(levels))[:, None])
+        else:
+            feature_names.append(header[j])
+            blocks.append(parsed[k:k + 1])
+    x = np.vstack(blocks) if one_hot else parsed  # p x n
     dataset = LabeledDataset(DataMatrix(x), labels, len(classes))
-    return LoadedCsv(dataset, tuple(feature_names), mapping, n_dropped)
+    return LoadedCsv(dataset, tuple(feature_names), mapping, n_rows - n)
 
 
-def _few_levels(rows, j):
-    """Sorted distinct values of column ``j`` if there are fewer than
-    ONE_HOT_THRESHOLD of them, else None; stops counting at the threshold."""
+def _label_index(header, label_column):
+    """(index of the label column in ``header``, None), or (None, the
+    ParseFailure that names it)."""
+    if isinstance(label_column, int):
+        if 0 <= label_column < len(header):
+            return label_column, None
+        return None, ParseFailure(f"label column index {label_column} out of range")
+    try:
+        return header.index(label_column), None
+    except ValueError:
+        return None, ParseFailure(f"label column {label_column!r} not in header")
+
+
+class _FeatureRows:
+    """The complete rows of a CSV file, parsed as each one is read.
+
+    ``add`` takes a row's stripped cells and keeps its label cell and, in
+    one float64 array, float() of each feature cell.  A column whose cell
+    float() rejects is not parsed again and its entries are left 0.  Until
+    a column has ONE_HOT_THRESHOLD distinct cells it also keeps them, with
+    a level code per row: all that a one-hot column needs.
+    """
+
+    def __init__(self, width, label_idx):
+        self.label_idx = label_idx
+        self.columns = [j for j in range(width) if j != label_idx]  # header index per feature
+        self.labels = []
+        self.values = []                                # one array per row
+        self.parsed = list(range(len(self.columns)))   # features float() still parses
+        self.unparsed = set()
+        self.levels = {k: {} for k in self.parsed}     # cell -> code, while few-valued
+        self.codes = {k: [] for k in self.parsed}
+
+    def add(self, cells):
+        self.labels.append(cells.pop(self.label_idx))
+        for k, seen in list(self.levels.items()):
+            code = seen.setdefault(cells[k], len(seen))
+            if len(seen) < ONE_HOT_THRESHOLD:
+                self.codes[k].append(code)
+            else:
+                del self.levels[k], self.codes[k]
+        self.values.append(self._parse(cells))
+
+    def _parse(self, cells):
+        while True:
+            try:
+                if len(self.parsed) == len(cells):
+                    return np.fromiter(map(float, cells), np.float64, len(cells))
+                out = np.zeros(len(cells))
+                out[self.parsed] = np.fromiter(map(float, map(cells.__getitem__, self.parsed)),
+                                               np.float64, len(self.parsed))
+                return out
+            except ValueError:
+                self.unparsed.update(k for k in self.parsed if not _parses(cells[k]))
+                self.parsed = [k for k in self.parsed if k not in self.unparsed]
+
+    def one_hot(self):
+        """{feature: (sorted levels, level index per row)} for the columns
+        with fewer than ONE_HOT_THRESHOLD distinct cells."""
+        out = {}
+        for k, seen in self.levels.items():
+            levels = sorted(seen)
+            rank = np.empty(len(levels), np.intp)
+            rank[[seen[v] for v in levels]] = np.arange(len(levels))
+            out[k] = levels, rank[np.array(self.codes[k], dtype=np.intp)]
+        return out
+
+
+def _parses(cell):
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
+def _count_distinct(path, delimiter, j):
+    """Distinct stripped cells of column ``j`` in the complete rows of
+    ``path``.  Only the error message of load_csv needs it, so it reads
+    the file again instead of load_csv keeping every cell."""
     seen = set()
-    for r in rows:
-        seen.add(r[j])
-        if len(seen) >= ONE_HOT_THRESHOLD:
-            return None
-    return sorted(seen)
+    with open(path, newline="", encoding="utf-8") as fh:
+        fh.readline()
+        for row in csv.reader(fh, delimiter=delimiter):
+            row = list(map(str.strip, row))
+            if row and _MISSING_ANY_CASE.isdisjoint(row):
+                seen.add(row[j])
+    return len(seen)
 
 
 @dataclass(frozen=True)

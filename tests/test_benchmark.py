@@ -102,6 +102,15 @@ def test_load_csv_errors(tmp_path):
         load_csv(huge, "label")
 
 
+def test_load_csv_counts_every_row_of_a_column_that_turns_non_numeric_late(tmp_path):
+    # v has 12 distinct numbers before its first non-numeric cell, so the
+    # loader has stopped keeping its strings; the message still counts all
+    rows = ["v,cat,label"] + [f"{i},{'AB'[i % 2]},{i % 2}" for i in range(12)]
+    rows += ["x,A,0", "x,B,1", "NA,A,0"]
+    with pytest.raises(ParseFailure, match=r"column 'v' is non-numeric with 13 distinct values"):
+        load_csv(write(tmp_path, "\n".join(rows)), "label")
+
+
 def test_missing_tokens_in_any_case_are_the_lowercase_rule():
     # the loader tests cells against every case spelling of the tokens,
     # which equals testing cell.lower() only if no other character lowers
