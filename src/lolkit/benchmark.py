@@ -64,8 +64,11 @@ def load_csv(path, label_column) -> LoadedCsv:
     missing entry are dropped; feature columns with fewer than
     ONE_HOT_THRESHOLD unique values are one-hot encoded; the rest must
     parse as reals.  ``label_column`` is a header name or integer index.
-    Each row is parsed as it is read (see _FeatureRows), so the cells are
-    never all held as strings at once.
+    A plain numeric file is parsed by numpy's C tokenizer, which gives the
+    values float() gives (see _numeric_table); every other file, such as
+    one with missing entries, categorical columns, quoted fields or cells
+    like ``1_000``, is parsed row by row as it is read (see _FeatureRows),
+    so its cells are never all held as strings at once.
     """
     try:
         fh = open(path, newline="", encoding="utf-8")
@@ -81,21 +84,27 @@ def load_csv(path, label_column) -> LoadedCsv:
             header = next(csv.reader([first], delimiter=delimiter))
             # a bad label column is reported once the whole file has parsed
             label_idx, label_error = _label_index(header, label_column)
-            table = None if label_error is not None else _FeatureRows(len(header), label_idx)
-            reader = csv.reader(fh, delimiter=delimiter)
-            n_rows = 0
-            for lineno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != len(header):
-                    raise ParseFailure(
-                        f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
-                    )
-                n_rows += 1
-                if table is not None:
-                    row = list(map(str.strip, row))
-                    if _MISSING_ANY_CASE.isdisjoint(row):
-                        table.add(row)
+            numeric = None
+            if label_error is None:
+                numeric = _numeric_table(fh, delimiter, len(header), label_idx)
+            if numeric is not None:
+                n_rows = len(numeric[0])
+            else:
+                table = None if label_error is not None else _FeatureRows(len(header), label_idx)
+                reader = csv.reader(fh, delimiter=delimiter)
+                n_rows = 0
+                for lineno, row in enumerate(reader, start=2):
+                    if not row:
+                        continue
+                    if len(row) != len(header):
+                        raise ParseFailure(
+                            f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
+                        )
+                    n_rows += 1
+                    if table is not None:
+                        row = list(map(str.strip, row))
+                        if _MISSING_ANY_CASE.isdisjoint(row):
+                            table.add(row)
         except UnicodeDecodeError as exc:
             raise ParseFailure(f"{path}: not UTF-8 text ({exc.reason})") from None
         except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
@@ -103,29 +112,34 @@ def load_csv(path, label_column) -> LoadedCsv:
             raise ParseFailure(f"{path}:{line}: {exc}") from None
     if label_error is not None:
         raise label_error
+    if numeric is None:
+        label_cells = table.labels
+    else:
+        label_cells, parsed, one_hot = numeric
 
-    n = len(table.labels)
+    n = len(label_cells)
     if n < 2:
         raise DegenerateLabels(f"{path}: fewer than 2 complete rows")
-    classes = sorted(set(table.labels))
+    classes = sorted(set(label_cells))
     if len(classes) < 2:
         raise DegenerateLabels(f"{path}: fewer than 2 classes after cleaning")
     mapping = {v: i for i, v in enumerate(classes)}
-    labels = np.array([mapping[v] for v in table.labels], dtype=np.int64)
+    labels = np.array([mapping[v] for v in label_cells], dtype=np.int64)
 
-    if not table.columns:
+    columns = [j for j in range(len(header)) if j != label_idx]  # header index per feature
+    if not columns:
         raise ParseFailure(f"{path}: no feature columns")
-    one_hot = table.one_hot()
-    for k, j in enumerate(table.columns):
-        if k in table.unparsed and k not in one_hot:
-            raise ParseFailure(
-                f"{path}: column {header[j]!r} is non-numeric with "
-                f"{_count_distinct(path, delimiter, j)} distinct values"
-            )
-
-    parsed = np.stack(table.values, axis=1)  # one row per feature column
+    if numeric is None:
+        one_hot = table.one_hot()
+        for k, j in enumerate(columns):
+            if k in table.unparsed and k not in one_hot:
+                raise ParseFailure(
+                    f"{path}: column {header[j]!r} is non-numeric with "
+                    f"{_count_distinct(path, delimiter, j)} distinct values"
+                )
+        parsed = np.stack(table.values, axis=1)  # one row per feature column
     feature_names, blocks = [], []
-    for k, j in enumerate(table.columns):
+    for k, j in enumerate(columns):
         if k in one_hot:
             levels, codes = one_hot[k]
             feature_names.extend(f"{header[j]}={v}" for v in levels)
@@ -136,6 +150,69 @@ def load_csv(path, label_column) -> LoadedCsv:
     x = np.vstack(blocks) if one_hot else parsed  # p x n
     dataset = LabeledDataset(DataMatrix(x), labels, len(classes))
     return LoadedCsv(dataset, tuple(feature_names), mapping, n_rows - n)
+
+
+def _numeric_table(fh, delimiter, width, label_idx):
+    """(label cells, p x n float64 matrix, {feature: (sorted levels, level
+    index per row)} of the one-hot columns) of the rows left in ``fh``,
+    parsed by np.loadtxt, or None with ``fh`` rewound when numpy cannot
+    give exactly what _FeatureRows gives.
+
+    numpy parses a field with PyOS_string_to_double after stripping the
+    characters str.strip() strips, which is the conversion float() makes.
+    The forms float() accepts and numpy rejects (``1_000``, non-ASCII
+    digits, quoted cells, missing tokens) make the call fail.  A result is
+    kept only when it is complete, has no NaN, no missing or quoted label
+    and no field over csv.field_size_limit().  A cell string always gives
+    the same float, so a column with ONE_HOT_THRESHOLD distinct floats has
+    as many distinct cells and is not one-hot; only the cells of the
+    columns with fewer are read again, as strings.  A stream that cannot
+    be rewound, such as a pipe, is left to _FeatureRows.
+    """
+    if not fh.seekable():
+        return None
+    start = fh.tell()
+    limit = csv.field_size_limit()
+    label_codes = {}  # label cell -> code
+    columns = [j for j in range(width) if j != label_idx]  # header index per feature
+
+    def lines():
+        for line in fh:
+            if len(line) > limit and max(map(len, line.rstrip("\r\n").split(delimiter))) > limit:
+                raise ValueError("a field over csv.field_size_limit()")
+            yield line
+
+    def label_code(cell):
+        return label_codes.setdefault(cell.strip(), len(label_codes))
+
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            data = np.loadtxt(lines(), delimiter=delimiter, comments=None, quotechar=None,
+                              ndmin=2, converters={label_idx: label_code})
+    except (ValueError, Warning):
+        data = None
+    if data is not None and data.shape[1] == width and len(data) >= 2 \
+            and _MISSING_ANY_CASE.isdisjoint(label_codes) and not any('"' in v for v in label_codes):
+        x = data.T[columns]  # C-contiguous p x n
+        ordered = np.sort(x, axis=1)
+        if not np.isnan(ordered[:, -1]).any():
+            distinct = 1 + np.count_nonzero(ordered[:, 1:] != ordered[:, :-1], axis=1)
+            few = np.flatnonzero(distinct < ONE_HOT_THRESHOLD).tolist()
+            one_hot = {}
+            if few:
+                fh.seek(start)
+                strings = np.loadtxt(fh, dtype=object, delimiter=delimiter, comments=None,
+                                     quotechar=None, ndmin=2, usecols=[columns[k] for k in few])
+                for k, col in zip(few, strings.T.tolist()):
+                    seen = {}
+                    codes = [seen.setdefault(cell.strip(), len(seen)) for cell in col]
+                    if len(seen) < ONE_HOT_THRESHOLD:
+                        one_hot[k] = _sorted_levels(seen, codes)
+            cells = list(label_codes)
+            return [cells[code] for code in data[:, label_idx].astype(np.intp).tolist()], x, one_hot
+    fh.seek(start)
+    return None
 
 
 def _label_index(header, label_column):
@@ -163,10 +240,9 @@ class _FeatureRows:
 
     def __init__(self, width, label_idx):
         self.label_idx = label_idx
-        self.columns = [j for j in range(width) if j != label_idx]  # header index per feature
         self.labels = []
         self.values = []                                # one array per row
-        self.parsed = list(range(len(self.columns)))   # features float() still parses
+        self.parsed = list(range(width - 1))           # features float() still parses
         self.unparsed = set()
         self.levels = {k: {} for k in self.parsed}     # cell -> code, while few-valued
         self.codes = {k: [] for k in self.parsed}
@@ -197,13 +273,16 @@ class _FeatureRows:
     def one_hot(self):
         """{feature: (sorted levels, level index per row)} for the columns
         with fewer than ONE_HOT_THRESHOLD distinct cells."""
-        out = {}
-        for k, seen in self.levels.items():
-            levels = sorted(seen)
-            rank = np.empty(len(levels), np.intp)
-            rank[[seen[v] for v in levels]] = np.arange(len(levels))
-            out[k] = levels, rank[np.array(self.codes[k], dtype=np.intp)]
-        return out
+        return {k: _sorted_levels(seen, self.codes[k]) for k, seen in self.levels.items()}
+
+
+def _sorted_levels(seen, codes):
+    """(sorted levels, level index per row) of a column whose distinct
+    cells ``seen`` maps to codes and whose rows have the codes ``codes``."""
+    levels = sorted(seen)
+    rank = np.empty(len(levels), np.intp)
+    rank[[seen[v] for v in levels]] = np.arange(len(levels))
+    return levels, rank[np.array(codes, dtype=np.intp)]
 
 
 def _parses(cell):

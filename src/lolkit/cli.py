@@ -25,12 +25,15 @@ from .errors import LolkitError, ParseFailure
 from .model import DataMatrix, LabeledDataset
 
 
-def _atomic_write(path, text):
+def _atomic_write(path, lines):
+    """Write the strings of ``lines`` to ``path`` as UTF-8, each as it is
+    made, through a temporary file that replaces ``path`` only once all
+    of them are written."""
     d = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".lolkit-tmp-")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.writelines(lines)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -39,12 +42,12 @@ def _atomic_write(path, text):
 
 
 def _write_json(path, obj):
-    _atomic_write(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    _atomic_write(path, [json.dumps(obj, indent=2, sort_keys=True) + "\n"])
 
 
-def _csv_text(header, rows):
-    """CSV text: the header line, then one line per row of formatted fields."""
-    return "".join(",".join(fields) + "\n" for fields in itertools.chain([header], rows))
+def _csv_lines(header, rows):
+    """CSV lines: the header line, then one line per row of formatted fields."""
+    return (",".join(fields) + "\n" for fields in itertools.chain([header], rows))
 
 
 def _samples_csv(prefix, values, last_name, last_fields):
@@ -53,7 +56,7 @@ def _samples_csv(prefix, values, last_name, last_fields):
     header = [f"{prefix}{i}" for i in range(values.shape[0])] + [last_name]
     rows = (itertools.chain(map("{:.17g}".format, values[:, i].tolist()), (last,))
             for i, last in enumerate(last_fields))
-    return _csv_text(header, rows)
+    return _csv_lines(header, rows)
 
 
 def _family_params(args):
@@ -136,7 +139,7 @@ def cmd_bench(args):
     os.makedirs(args.output_dir, exist_ok=True)
     rows = (map(str, row) for row in benchmark.curves_rows(curves))
     _atomic_write(os.path.join(args.output_dir, "curves.csv"),
-                  _csv_text(("algorithm", "r", "fold", "error"), rows))
+                  _csv_lines(("algorithm", "r", "fold", "error"), rows))
     _write_json(os.path.join(args.output_dir, "report.json"), report)
     return 0
 
@@ -264,11 +267,11 @@ def cmd_scale(args):
         prev = dt
         del x, dataset
         gc.collect()
-    text = _csv_text(("p", "n", "d", "seconds", "ratio_to_previous"), rows)
+    lines = _csv_lines(("p", "n", "d", "seconds", "ratio_to_previous"), rows)
     if args.output:
-        _atomic_write(args.output, text)
+        _atomic_write(args.output, lines)
     else:
-        print(text, end="")
+        sys.stdout.writelines(lines)
     return 0
 
 

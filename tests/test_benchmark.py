@@ -1,6 +1,8 @@
 import contextlib
 import json
+import os
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -78,6 +80,19 @@ def test_load_csv_tab_autodetect_and_label_index(tmp_path):
     loaded = load_csv(path, 1)
     assert loaded.dataset.p == 1
     assert loaded.dataset.n == 11
+
+
+def test_load_csv_reads_a_pipe(tmp_path):
+    # a stream that cannot be rewound is parsed by the float() path alone
+    fifo = tmp_path / "d.csv"
+    os.mkfifo(fifo)
+    text = "a,label\n" + "".join(f"{i + 0.5},{i % 2}\n" for i in range(12))
+    writer = threading.Thread(target=fifo.write_text, args=(text,), daemon=True)
+    writer.start()
+    loaded = load_csv(fifo, "label")
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert loaded.dataset.data.values.tolist() == [[i + 0.5 for i in range(12)]]
 
 
 def test_load_csv_errors(tmp_path):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from lolkit.benchmark import ALGORITHMS
-from lolkit.cli import _parse_sweep, build_parser, main
+from lolkit.cli import _atomic_write, _parse_sweep, build_parser, main
 from lolkit.errors import ParseFailure
 
 
@@ -227,6 +227,39 @@ def test_oversized_csv_field_is_a_structured_error(tmp_path, capsys):
     assert err["error"] == "ParseFailure"
     assert f"{data}:3:" in err["message"]
     assert not (tmp_path / "p.txt").exists()
+
+
+def test_oversized_numeric_field_in_a_numeric_file_is_a_structured_error(tmp_path, capsys):
+    # a table np.loadtxt parses whole; the long field is a valid number
+    rows = [f"{i + 0.5},{i % 2}" for i in range(12)]
+    rows[5] = "0." + "0" * 140_000 + "1,1"
+    data = tmp_path / "huge.csv"
+    data.write_text("a,label\n" + "\n".join(rows) + "\n")
+    code = run(["fit", "--input", str(data), "--alg", "lol", "--d", "1",
+                "--output", str(tmp_path / "p.txt")])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ParseFailure"
+    assert f"{data}:7:" in err["message"]
+    assert not (tmp_path / "p.txt").exists()
+
+
+def test_atomic_write_that_fails_mid_file_leaves_nothing(tmp_path):
+    def lines():
+        yield "a,b\n"
+        yield "1,2\n"
+        raise RuntimeError("formatting failed")
+
+    with pytest.raises(RuntimeError, match="formatting failed"):
+        _atomic_write(tmp_path / "out.csv", lines())
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_atomic_write_streams_utf8_lines(tmp_path):
+    out = tmp_path / "out.csv"
+    _atomic_write(out, iter(["a,\u00e9\n", "1,2\n"]))
+    assert out.read_bytes() == "a,\u00e9\n1,2\n".encode("utf-8")
+    assert list(tmp_path.iterdir()) == [out]
 
 
 @pytest.mark.parametrize("argv, error", [

@@ -4,15 +4,21 @@
 step per cell for the strip, the missing check, the distinct-value count
 and the ``float()`` conversion.  The current loader must give the same
 bytes, names, label mapping and dropped-row count, or raise the same
-exception with the same message, on every generated file.
+exception with the same message, on every generated file.  The files
+cover both of its paths: plain numeric tables that numpy's tokenizer
+parses, and every kind of file on which that parse must be declined.
 """
 
 import csv
 import io
+from collections import Counter
+from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from lolkit import benchmark
 from lolkit.benchmark import LoadedCsv, load_csv
 from lolkit.errors import DegenerateLabels, LolkitError, ParseFailure
 from lolkit.model import DataMatrix, LabeledDataset
@@ -131,9 +137,82 @@ labels = st.sampled_from(["0", "1", "2", "x", "y", "Z", "y,z", "1.0"])
 odd_names = st.sampled_from(["a,b", "t\tab", 'q"uote', " pad ", "f0", "label"])
 
 
+# ONE_HOT_THRESHOLD cells with one distinct float fewer
+signed_zeros = ["-0.0", "0.0"] + [str(v) for v in range(1, ONE_HOT_THRESHOLD - 1)]
+plain_formats = st.sampled_from(["{:.17g}", "{:.6f}", "{:+.3e}", "{:E}", " {!r} ", " {!r}",
+                                 "\x1c{!r}\x1c"])
+plain_labels = st.sampled_from(["0", "1", "2", "x", "y", "Z", "1.0"])
+# one of these, written into a plain table, makes load_csv take the
+# float() path (most of them) or checks that both paths read it alike
+trigger_cells = st.sampled_from([
+    "1_000", "\u0661\u0662", "#1", "1#", "1\x002", "\x00", "1\x1c2", "nan", "NaN", "NA", "",
+    "?", "null", "inf", '"2.5"', " ",
+])
+trigger_labels = st.sampled_from([
+    '"x"', '"y,z"', "z\"", " x ", "\x1cy\x1c", "NA", "nan", " None ", "", "x#", "a\x00b",
+    "\u0661",
+])
+blank_lines = st.sampled_from(["", " ", "  ", "\t", "\x1c"])
+newlines = st.sampled_from(["\n", "\r\n", "\r", "\r\r\n"])
+# a few values, each in several spellings
+spellings = st.sampled_from(["0", "-0", "0.0", "1", "1.0", " 1", "1e0", "+1", "2", "2.", ".5",
+                             "0.5", "5e-1"])
+
+
+@st.composite
+def plain_column(draw, n_rows):
+    """Cells of a numeric column: distinct floats in mixed forms; or, one
+    time in six each, a cycle of -0.0, 0.0, 1, 2, ... of length around
+    ONE_HOT_THRESHOLD, whose floats have one distinct value fewer than
+    its cells, or a few values with more distinct spellings."""
+    kind = draw(st.integers(0, 5))
+    if kind == 0:
+        m = draw(st.integers(ONE_HOT_THRESHOLD - 1, ONE_HOT_THRESHOLD + 1))
+        return [(signed_zeros + ["9"])[i % m] for i in range(n_rows)]
+    if kind == 1:
+        return draw(st.lists(spellings, min_size=n_rows, max_size=n_rows))
+    values = draw(st.lists(finite, min_size=n_rows, max_size=n_rows, unique=True))
+    return [draw(plain_formats).format(v) for v in values]
+
+
+@st.composite
+def plain_file(draw):
+    """(file text, label column) for a numeric table of at least
+    ONE_HOT_THRESHOLD rows written without quoting, which np.loadtxt can
+    parse; one time in three a trigger cell, label or blank line is
+    written in."""
+    n_features = draw(st.integers(1, 4))
+    n_rows = draw(st.integers(ONE_HOT_THRESHOLD, 24))
+    rows = [list(r) for r in zip(*[draw(plain_column(n_rows)) for _ in range(n_features)])]
+    label_at = draw(st.integers(0, n_features))
+    for row in rows:
+        row.insert(label_at, draw(plain_labels))
+    lines = [[f"f{i}" for i in range(n_features + 1)]] + rows
+    trigger = draw(st.integers(0, 8))
+    at = draw(st.integers(1, n_rows))
+    if trigger == 0:
+        lines[at][draw(st.sampled_from([j for j in range(n_features + 1) if j != label_at]))] = \
+            draw(trigger_cells)
+    elif trigger == 1:
+        lines[at][label_at] = draw(trigger_labels)
+    elif trigger == 2:
+        lines.insert(at, [draw(blank_lines)])
+    delimiter = draw(st.sampled_from([",", "\t"]))
+    newline = draw(newlines)
+    text = "".join(delimiter.join(line) + newline for line in lines)
+    label_column = lines[0][label_at]
+    if draw(st.integers(0, 9)) == 0:
+        label_column = draw(st.sampled_from(["absent", -1, label_at, n_features + 1]))
+    return text, label_column
+
+
 @st.composite
 def csv_files(draw):
-    """(file bytes, label column) for a small generated table."""
+    """(file bytes, label column): half of the time a plain numeric table,
+    otherwise a small table of mixed columns written by csv.writer."""
+    if draw(st.booleans()):
+        text, label_column = draw(plain_file())
+        return text.encode(), label_column
     n_features = draw(st.integers(0, 4))
     kinds = draw(st.lists(st.sampled_from(["numeric", "numeric", "few", "cycle", "string"]),
                           min_size=n_features, max_size=n_features))
@@ -158,9 +237,8 @@ def csv_files(draw):
         # a field short, a field over, or a blank line
         rows[i] = draw(st.sampled_from([rows[i][:-1], rows[i] + ["extra"], []]))
     delimiter = draw(st.sampled_from([",", "\t"]))
-    newline = draw(st.sampled_from(["\n", "\r\n"]))
     buf = io.StringIO()
-    writer = csv.writer(buf, delimiter=delimiter, lineterminator=newline)
+    writer = csv.writer(buf, delimiter=delimiter, lineterminator=draw(newlines))
     writer.writerow(names)
     writer.writerows(rows)
     label_column = names[label_at]
@@ -169,11 +247,113 @@ def csv_files(draw):
     return buf.getvalue().encode(), label_column
 
 
-@settings(max_examples=300, deadline=None)
-@given(file=csv_files())
-def test_load_csv_matches_the_per_cell_reference(tmp_path_factory, file):
-    raw, label_column = file
-    path = tmp_path_factory.mktemp("csv") / "d.csv"
-    path.write_bytes(raw)
-    assert _outcome(load_csv, path, label_column) == \
-        _outcome(reference_load_csv, path, label_column)
+@pytest.fixture
+def numeric_path_spy():
+    """Counts, per load_csv call that tries it, whether the np.loadtxt
+    parse was kept ("numpy") or declined ("float")."""
+    taken = Counter()
+    real = benchmark._numeric_table
+
+    def spy(*args):
+        got = real(*args)
+        taken["float" if got is None else "numpy"] += 1
+        return got
+
+    with mock.patch.object(benchmark, "_numeric_table", spy):
+        yield taken
+
+
+def test_load_csv_matches_the_per_cell_reference(tmp_path, numeric_path_spy):
+    path = tmp_path / "d.csv"
+
+    @settings(max_examples=300, deadline=None)
+    @given(file=csv_files())
+    def check(file):
+        raw, label_column = file
+        path.write_bytes(raw)
+        assert _outcome(load_csv, path, label_column) == \
+            _outcome(reference_load_csv, path, label_column)
+
+    check()
+    # both paths ran, each on a fair share of the files
+    assert min(numeric_path_spy.values()) >= 30, numeric_path_spy
+
+
+def _plain_table(n_rows=12):
+    """Header a,label,b; a holds 0.5, 1.5, ...; b holds 1e-3 * i**2."""
+    rows = [[f"{i + 0.5!r}", "yx"[i % 2], f"{1e-3 * i * i:.17g}"] for i in range(n_rows)]
+    return [["a", "label", "b"]] + rows
+
+
+def _text(lines, newline="\n", delimiter=","):
+    return "".join(delimiter.join(line) + newline for line in lines)
+
+
+def _with(cell=None, label=None, row=5):
+    lines = _plain_table()
+    if cell is not None:
+        lines[row][0] = cell
+    if label is not None:
+        lines[row][1] = label
+    return _text(lines)
+
+
+def _column_b(cells, n_rows=12):
+    """The plain table with column b cycling through ``cells``."""
+    lines = _plain_table(n_rows)
+    for i, row in enumerate(lines[1:]):
+        row[2] = cells[i % len(cells)]
+    return _text(lines)
+
+
+# file text, and the path load_csv must take on it
+CASES = {
+    "plain": (_text(_plain_table()), "numpy"),
+    "tab-crlf": (_text(_plain_table(), "\r\n", "\t"), "numpy"),
+    "lone-cr": (_text(_plain_table(), "\r"), "numpy"),
+    "cr-cr-lf": (_text(_plain_table(), "\r\r\n"), "numpy"),
+    "empty-line": (_text(_plain_table()[:6] + [[""]] + _plain_table()[6:]), "numpy"),
+    "blank-line": (_text(_plain_table()[:6] + [["  "]] + _plain_table()[6:]), "float"),
+    "tab-line": (_text(_plain_table()[:6] + [["\t"]] + _plain_table()[6:], delimiter="\t"),
+                 "float"),
+    "fs-padded-cell": (_with(cell="\x1c7\x1c"), "numpy"),
+    "padded-cell": (_with(cell=" -7e-3 "), "numpy"),
+    "hash-cell": (_with(cell="7#"), "float"),
+    "nul-cell": (_with(cell="7\x00"), "float"),
+    "fs-inside-cell": (_with(cell="7\x1c1"), "float"),
+    "underscore-cell": (_with(cell="1_000"), "float"),
+    "arabic-digits-cell": (_with(cell="\u0661\u0662"), "float"),
+    "quoted-cell": (_with(cell='"7"'), "float"),
+    "nan-cell": (_with(cell="nan"), "float"),
+    "na-cell": (_with(cell="NA"), "float"),
+    "empty-cell": (_with(cell=""), "float"),
+    "overflow-cell": (_with(cell="1e999"), "numpy"),
+    "quoted-label": (_with(label='"x"'), "float"),
+    "quoted-delimiter-label": (_with(label='"y,x"'), "float"),
+    "hash-label": (_with(label="x#"), "numpy"),
+    "nul-label": (_with(label="y\x00"), "numpy"),
+    "padded-label": (_with(label=" \x1cy "), "numpy"),
+    "na-label": (_with(label="Na"), "float"),
+    "none-label": (_with(label=" none "), "float"),
+    "empty-label": (_with(label=""), "float"),
+    "extra-field-every-row": (_text(_plain_table()[:1] + [r + ["3.5"] for r in _plain_table()[1:]]),
+                              "float"),
+    "one-row": (_text(_plain_table(1)), "float"),
+    "header-only": (_text(_plain_table(0)), "float"),
+    # one-hot when its cells, not its floats, are fewer than ONE_HOT_THRESHOLD
+    "binary-column": (_column_b(["0", "1"]), "numpy"),
+    "spellings-column": (_column_b(["1", "1.0", " 1", "2"]), "numpy"),
+    "nan-in-binary-column": (_column_b(["0", "nan"]), "float"),
+    "signed-zero-9-cells": (_column_b(signed_zeros[:9], 18), "numpy"),
+    "signed-zero-10-cells": (_column_b(signed_zeros, 20), "numpy"),
+    "signed-zero-11-cells": (_column_b(signed_zeros + ["9"], 22), "numpy"),
+}
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_numpy_path_is_kept_or_declined_as_expected(tmp_path, numeric_path_spy, case):
+    text, path_taken = CASES[case]
+    path = tmp_path / "d.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    assert _outcome(load_csv, path, "label") == _outcome(reference_load_csv, path, "label")
+    assert numeric_path_spy == {path_taken: 1}
