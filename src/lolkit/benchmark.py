@@ -408,6 +408,12 @@ _SEEDED_FITS = {
 
 ALGORITHMS = tuple(_SEEDED_FITS)
 
+# fits that sweep runs at the process default BLAS thread count, not at
+# one thread: the cca basis below C-1 dimensions depends on the thread
+# count (its top eigenvalues tie when n <= p), so pinning it would change
+# its curves at the default count
+_DEFAULT_THREAD_FITS = frozenset({"cca"})
+
 
 def _check_algorithm(tag):
     if tag not in _SEEDED_FITS:
@@ -480,12 +486,13 @@ def _one_blas_thread(controls):
 def sweep(dataset: LabeledDataset, algorithms, d_max, plan: FoldPlan, classifier="lda"):
     """Error curves for every algorithm over r = 1..d_max.
 
-    Each fold's per-r cells (embed, classifier fit, predict) run with
-    BLAS at one thread: their d x d solves are far slower when two thread
-    pools contend for the cores.  Projection fits run at the process
-    default, because the cca fit's result depends on the thread count.
-    Thread counts are process-wide, so sweeps running concurrently in
-    one process can restore each other's pinned count.
+    Each fold's projection fits and per-r cells (embed, classifier fit,
+    predict) run with BLAS at one thread: their SVDs and d x d solves are
+    far slower when two thread pools contend for the cores.  The cca fit
+    alone runs at the process default, because its result depends on the
+    thread count (see _DEFAULT_THREAD_FITS).  Thread counts are
+    process-wide, so sweeps running concurrently in one process can
+    restore each other's pinned count.
     """
     for tag in algorithms:
         _check_algorithm(tag)
@@ -507,10 +514,11 @@ def sweep(dataset: LabeledDataset, algorithms, d_max, plan: FoldPlan, classifier
         except _CELL_ERRORS:
             continue
         for tag, tag_rates in zip(algorithms, rates):
-            try:
-                proj = fit_projection(tag, train_ds, d_max, seed=plan.seed)
-            except _CELL_ERRORS:
-                continue
+            with _one_blas_thread([] if tag in _DEFAULT_THREAD_FITS else blas):
+                try:
+                    proj = fit_projection(tag, train_ds, d_max, seed=plan.seed)
+                except _CELL_ERRORS:
+                    continue
             with _one_blas_thread(blas):
                 for r in range(1, min(d_max, proj.d) + 1):
                     try:

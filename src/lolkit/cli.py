@@ -28,11 +28,15 @@ from .model import DataMatrix, LabeledDataset
 def _atomic_write(path, lines):
     """Write the strings of ``lines`` to ``path`` as UTF-8, each as it is
     made, through a temporary file that replaces ``path`` only once all
-    of them are written."""
+    of them are written.  The file gets the mode open() would give it,
+    0o666 less the umask, not mkstemp's 0o600."""
     d = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".lolkit-tmp-")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            umask = os.umask(0)  # the only way to read it is to set it
+            os.umask(umask)
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
             fh.writelines(lines)
         os.replace(tmp, path)
     except BaseException:
@@ -248,6 +252,8 @@ def _parse_sweep(text):
 
 def cmd_scale(args):
     ps = _parse_sweep(args.p_sweep)
+    if args.n < 1:
+        raise ParseFailure(f"--n must be at least 1, got {args.n}")
     rows = []
     prev = None
     for p in ps:
@@ -370,6 +376,8 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "seed", 0) < 0:  # numpy seeds are non-negative
+            raise ParseFailure(f"--seed must be non-negative, got {args.seed}")
         return args.func(args)
     except LolkitError as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),

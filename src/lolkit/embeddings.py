@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DegenerateMeans, PlsNoConvergence, ShapeMismatch, TooFewDims
-from .linalg import sparse_random_columns, truncated_svd, implicit_cca_eigs
+from .linalg import implicit_cca_eigs, resolve_svd_mode, sparse_random_columns, truncated_svd
 from .model import (
     ClassStats,
     DataMatrix,
@@ -77,28 +77,35 @@ def fit_lol(dataset: LabeledDataset, d, svd_mode="auto", seed=0) -> Projection:
         raise TooFewDims(f"d={d} exceeds p={dataset.p}")
     stats = class_stats(dataset)
     delta = mean_difference_matrix(stats)
-    eig = None
-    if k:
-        centered = center_class_conditional(dataset, stats)
-        eig = truncated_svd(centered.values, k, mode=svd_mode, seed=seed).U
+    eig = _class_centered_directions(dataset, k, svd_mode, seed, stats) if k else None
     return _assemble(delta, eig, "lol", seed)
 
 
-def _top_directions(dataset, d, center, tag, svd_mode, seed):
-    # top-d left singular vectors of the data centered by ``center``
-    centered = center(dataset, class_stats(dataset))
-    u = truncated_svd(centered.values, d, mode=svd_mode, seed=seed).U
-    return Projection(u, method_tag=tag, seed=seed)
+def _class_centered_directions(dataset, k, svd_mode, seed, stats=None):
+    # top-k left singular vectors of the class-centered data.  An exact
+    # SVD computes all min(p, n) of them and _fix_signs acts column by
+    # column, so the first k columns of the dataset's shared SVD are the
+    # same bytes as a rank-k exact fit.  ``stats`` spares a randomized fit
+    # a second class_stats pass.
+    if resolve_svd_mode(k, dataset.p, dataset.n, svd_mode) == "exact":
+        return dataset.class_centered_svd.U[:, :k]
+    if stats is None:
+        stats = class_stats(dataset)
+    centered = center_class_conditional(dataset, stats)
+    return truncated_svd(centered.values, k, mode=svd_mode, seed=seed).U
 
 
 def fit_pca(dataset: LabeledDataset, d, svd_mode="auto", seed=0) -> Projection:
     """Top-d eigenvectors of the pooled-centered data (label-blind)."""
-    return _top_directions(dataset, d, center_pooled, "pca", svd_mode, seed)
+    centered = center_pooled(dataset, class_stats(dataset))
+    u = truncated_svd(centered.values, d, mode=svd_mode, seed=seed).U
+    return Projection(u, method_tag="pca", seed=seed)
 
 
 def fit_rrlda(dataset: LabeledDataset, d, svd_mode="auto", seed=0) -> Projection:
     """Top-d eigenvectors of the class-conditionally centered data."""
-    return _top_directions(dataset, d, center_class_conditional, "rrlda", svd_mode, seed)
+    u = _class_centered_directions(dataset, d, svd_mode, seed)
+    return Projection(u, method_tag="rrlda", seed=seed)
 
 
 def fit_qoq(dataset: LabeledDataset, d, svd_mode="auto", seed=0) -> Projection:
@@ -179,7 +186,9 @@ def fit_rp(dataset: LabeledDataset, d, seed=0) -> Projection:
 
 
 def fit_lrcca(dataset: LabeledDataset, d) -> Projection:
-    """Low-rank CCA via the implicit-operator eigensolver (d <= C-1)."""
+    """Low-rank CCA via the implicit-operator eigensolver (1 <= d <= C-1)."""
+    if d < 1:
+        raise TooFewDims(f"d={d} below 1")
     stats = class_stats(dataset)
     centered = center_pooled(dataset, stats)
     vecs = implicit_cca_eigs(
@@ -200,6 +209,8 @@ def fit_pls(dataset: LabeledDataset, d) -> Projection:
     components deflate X, so the returned weight vectors are mutually
     orthogonal.
     """
+    if d < 1:
+        raise TooFewDims(f"d={d} below 1")
     if d > min(dataset.p, dataset.n - 1):
         raise TooFewDims(f"d={d} exceeds min(p, n-1)={min(dataset.p, dataset.n - 1)}")
     stats = class_stats(dataset)

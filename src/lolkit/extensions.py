@@ -15,7 +15,13 @@ from scipy.stats import f as f_dist
 from .benchmark import fit_projection
 from .classifiers import _sample_class
 from .embeddings import embed
-from .errors import DegenerateTarget, ShapeMismatch, UnderdeterminedTest, TooManyBins
+from .errors import (
+    DegenerateTarget,
+    ShapeMismatch,
+    SingularProjectedCov,
+    TooManyBins,
+    UnderdeterminedTest,
+)
 from .model import DataMatrix, LabeledDataset, Projection
 from .simulations import SimSpec, population_model
 
@@ -44,7 +50,10 @@ def hotelling_two_sample(e0: DataMatrix, e1: DataMatrix) -> HotellingResult:
     c1 = e1.values - m1[:, None]
     pooled = (c0 @ c0.T + c1 @ c1.T) / (n0 + n1 - 2)
     diff = m0 - m1
-    t2 = float(n0 * n1 / (n0 + n1) * diff @ np.linalg.solve(pooled, diff))
+    try:
+        t2 = float(n0 * n1 / (n0 + n1) * diff @ np.linalg.solve(pooled, diff))
+    except np.linalg.LinAlgError as exc:
+        raise SingularProjectedCov(f"pooled covariance of the embedded samples: {exc}") from None
     df1 = d
     df2 = n0 + n1 - d - 1
     f_stat = t2 * df2 / (d * (n0 + n1 - 2))

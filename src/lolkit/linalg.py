@@ -42,6 +42,18 @@ def _fix_signs(U, *others):
     return (U * flip, *(m * flip for m in others))
 
 
+def resolve_svd_mode(k, p, n, mode):
+    """The path a rank-k truncated SVD of a p x n matrix takes under
+    ``mode``: "auto" resolves to "exact" when min(p, n) <=
+    EXACT_SVD_MAX_DIM and to "randomized" above; other modes pass through.
+    A k outside 1..min(p, n) raises RankRequestTooLarge."""
+    if k < 1 or k > min(p, n):
+        raise RankRequestTooLarge(f"k={k} outside 1..min(p,n)={min(p, n)}")
+    if mode == "auto":
+        return "exact" if min(p, n) <= EXACT_SVD_MAX_DIM else "randomized"
+    return mode
+
+
 def truncated_svd(values, k, mode="auto", seed=0, oversample=10, power_iters=2):
     """Top-k singular triplets of a p x n matrix.
 
@@ -54,10 +66,7 @@ def truncated_svd(values, k, mode="auto", seed=0, oversample=10, power_iters=2):
     if not np.all(np.isfinite(m)):
         raise NonFiniteData("matrix contains non-finite entries")
     p, n = m.shape
-    if k < 1 or k > min(p, n):
-        raise RankRequestTooLarge(f"k={k} outside 1..min(p,n)={min(p, n)}")
-    if mode == "auto":
-        mode = "exact" if min(p, n) <= EXACT_SVD_MAX_DIM else "randomized"
+    mode = resolve_svd_mode(k, p, n, mode)
 
     if mode == "exact":
         u, s, vt = np.linalg.svd(m, full_matrices=False)

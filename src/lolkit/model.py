@@ -7,16 +7,18 @@ Conventions used throughout the package:
 * all second-moment computations divide by n (MLE convention), never n-1.
 
 All types are immutable after construction and safe to share across
-threads for reading.
+threads for reading; a LabeledDataset may add one derived, cached SVD.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import EmptyClass, NonFiniteData, ShapeMismatch
+from .linalg import truncated_svd
 
 
 @dataclass(frozen=True)
@@ -46,7 +48,12 @@ class DataMatrix:
 
 @dataclass(frozen=True)
 class LabeledDataset:
-    """A DataMatrix plus n integer class labels in {0..C-1}."""
+    """A DataMatrix plus n integer class labels in {0..C-1}.
+
+    Once an exact lol or rrlda fit asks for it, a dataset keeps the exact
+    SVD of its class-centered data (``class_centered_svd``, whose U is
+    p x min(p, n)), so the fits of one dataset share it.
+    """
 
     data: DataMatrix
     labels: np.ndarray
@@ -78,6 +85,16 @@ class LabeledDataset:
     @property
     def n(self):
         return self.data.n
+
+    @cached_property
+    def class_centered_svd(self):
+        """Exact SVD of the class-centered data, all min(p, n) triplets.
+
+        cached_property writes the instance __dict__ directly, so it works
+        on a frozen dataclass.  Only this exact result is kept: a
+        randomized one depends on k and the seed."""
+        centered = center_class_conditional(self, class_stats(self))
+        return truncated_svd(centered.values, min(self.p, self.n), mode="exact")
 
 
 @dataclass(frozen=True)

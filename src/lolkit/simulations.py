@@ -101,6 +101,8 @@ def _toeplitz_sigma(p, rho, frobenius):
     # rho^|i-j| scaled to the given Frobenius norm
     if not 0.0 < rho < 1.0:
         raise BadRho(f"rho must be in (0,1), got {rho}")
+    if not frobenius > 0:
+        raise ShapeMismatch(f"frobenius must be positive, got {frobenius}")
     sigma = toeplitz(rho ** np.arange(p, dtype=np.float64))
     sigma *= frobenius / np.linalg.norm(sigma, "fro")
     return sigma
@@ -208,10 +210,12 @@ def sample(spec: SimSpec) -> SimSample | RegressionSample:
     prm = spec.params
 
     if spec.family == "regression_linear":
+        c = np.asarray(prm["coef"], dtype=np.float64)
+        if p < c.shape[0]:
+            raise PTooSmall(f"regression_linear needs p >= {c.shape[0]}, got p={p}")
         sigma = _toeplitz_sigma(p, prm["rho"], prm["frobenius"])
         x = jittered_cholesky(sigma) @ rng.standard_normal((p, n))
         coef = np.zeros(p)
-        c = np.asarray(prm["coef"], dtype=np.float64)
         coef[: c.shape[0]] = c
         targets = coef @ x
         return RegressionSample(DataMatrix(x), targets, coef, sigma)

@@ -7,7 +7,8 @@ import threading
 import numpy as np
 import pytest
 
-from lolkit import benchmark
+from lolkit import benchmark, model
+from lolkit import embeddings as emb
 from lolkit.benchmark import (
     _MISSING,
     _MISSING_ANY_CASE,
@@ -370,6 +371,41 @@ def test_sweep_runs_cells_at_one_thread_and_restores(monkeypatch, blas_at_two_th
     assert set(seen) == {(1,) * len(controls)}
     assert len(seen) == 2 * plan.k * 4
     assert _threads(controls) == [2] * len(controls)
+
+
+def test_sweep_fits_every_projection_but_cca_at_one_thread(monkeypatch, blas_at_two_threads):
+    controls = blas_at_two_threads
+    ds = sample(SimSpec("trunk3", 40, 120, seed=8)).dataset
+    plan = make_fold_plan(ds.n, ds.p, ds.num_classes, 3, ds.labels, seed=8)
+    seen = {tag: [] for tag in ALGORITHMS}
+    # the "lol" entry is emb.fit_lol itself, so spy through the registry
+    for tag, fit in list(benchmark._SEEDED_FITS.items()):
+        def recording_fit(*args, _fit=fit, _seen=seen[tag], **kwargs):
+            _seen.append(tuple(_threads(controls)))
+            return _fit(*args, **kwargs)
+
+        monkeypatch.setitem(benchmark._SEEDED_FITS, tag, recording_fit)
+    sweep(ds, ALGORITHMS, 4, plan)
+    one, default = (1,) * len(controls), (2,) * len(controls)
+    assert seen == {tag: [default if tag == "cca" else one] * plan.k for tag in ALGORITHMS}
+    assert _threads(controls) == [2] * len(controls)
+
+
+def test_sweep_runs_one_class_centered_svd_per_fold(monkeypatch):
+    ds = trunk_dataset(p=15, n=80, seed=3)
+    plan = make_fold_plan(ds.n, ds.p, 2, 3, ds.labels, seed=3)
+    calls = []
+    for module in (model, emb):
+        real = module.truncated_svd
+
+        def counting_svd(values, *args, _real=real, **kwargs):
+            calls.append(values.shape)
+            return _real(values, *args, **kwargs)
+
+        monkeypatch.setattr(module, "truncated_svd", counting_svd)
+    lol, rrlda = sweep(ds, ["lol", "rrlda"], 5, plan)
+    assert calls == [(ds.p, len(tr)) for tr in plan.train_subsets]
+    assert np.isfinite(lol.rates).all() and np.isfinite(rrlda.rates).all()
 
 
 def test_sweep_without_openblas_leaves_threads_alone(monkeypatch, blas_at_two_threads):

@@ -1,5 +1,7 @@
 import argparse
 import json
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -266,9 +268,60 @@ def test_atomic_write_streams_utf8_lines(tmp_path):
     (["test", "--family", "trunk", "--p", "10", "--reps", "0"], "ShapeMismatch"),
     (["chernoff", "--max-p", "1"], "ParseFailure"),
     (["chernoff", "--instances", "0"], "ParseFailure"),
+    # numpy seeds are non-negative
+    (["chernoff", "--instances", "1", "--seed", "-1"], "ParseFailure"),
+    (["scale", "--p-sweep", "2:2:x2", "--n", "-1"], "ParseFailure"),
+    # regression_linear's two population coefficients need p >= 2
+    (["regress", "--p", "1", "--n", "4"], "PTooSmall"),
+    (["regress", "--p", "2", "--n", "8", "--frobenius", "0"], "ShapeMismatch"),
+    # two equal sparse random columns make the embedded covariance singular
+    (["test", "--family", "stacked_cigars", "--p", "2", "--d", "2", "--reps", "5",
+      "--methods", "rp"], "SingularProjectedCov"),
 ])
 def test_argument_ranges_are_structured_errors(capsys, argv, error):
     assert run(argv) == 2
     captured = capsys.readouterr()
     assert json.loads(captured.err)["error"] == error
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("alg", ["cca", "pls"])
+@pytest.mark.parametrize("d", ["-1", "0"])
+def test_fit_rejects_d_below_one(tmp_path, capsys, alg, d):
+    # cca clamps d to C-1 and pls to min(p, n-1); a d below 1 used to
+    # give cca a (C-1)-column fit and pls a negative-width allocation
+    out = tmp_path / "sim"
+    run(["sim", "--family", "trunk3", "--p", "6", "--n", "30", "--output-dir", str(out)])
+    proj = tmp_path / "p.txt"
+    assert run(["fit", "--input", str(out / "dataset.csv"), "--alg", alg, "--d", d,
+                "--output", str(proj)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert (err["error"], err["message"]) == ("TooFewDims", f"d={d} below 1")
+    assert not proj.exists()
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o027, 0o640)], ids=["022", "027"])
+def test_written_files_get_the_mode_open_gives(tmp_path, umask, mode):
+    old = os.umask(umask)
+    try:
+        sim = tmp_path / "sim"
+        data = str(sim / "dataset.csv")
+        assert run(["sim", "--family", "trunk", "--p", "15", "--n", "80",
+                    "--output-dir", str(sim)]) == 0
+        assert run(["fit", "--input", data, "--alg", "lol", "--d", "2",
+                    "--output", str(tmp_path / "proj.txt")]) == 0
+        assert run(["embed", "--input", data, "--projection", str(tmp_path / "proj.txt"),
+                    "--output", str(tmp_path / "emb.csv")]) == 0
+        assert run(["bench", "--input", data, "--algs", "lol,pca", "--k", "3", "--d-max", "3",
+                    "--output-dir", str(tmp_path / "bench")]) == 0
+        assert run(["scale", "--p-sweep", "20:20:x2", "--n", "10", "--d", "2",
+                    "--repeats", "1", "--output", str(tmp_path / "scale.csv")]) == 0
+    finally:
+        os.umask(old)
+    files = sorted(p for p in tmp_path.rglob("*") if p.is_file())
+    assert [p.relative_to(tmp_path).as_posix() for p in files] == [
+        "bench/curves.csv", "bench/report.json", "emb.csv", "proj.txt", "scale.csv",
+        "sim/dataset.csv", "sim/model.json"]
+    # proj.txt comes from save_projection's plain open()
+    assert {p.name: stat.S_IMODE(p.stat().st_mode) for p in files} == \
+        dict.fromkeys((p.name for p in files), mode)

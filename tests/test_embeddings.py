@@ -16,9 +16,21 @@ from lolkit.embeddings import (
     mean_difference_matrix,
     save_projection,
 )
-from lolkit.errors import CcaRankExceeded, DegenerateMeans, ShapeMismatch, TooFewDims
-from lolkit.linalg import random_rotation
-from lolkit.model import DataMatrix, LabeledDataset, Projection, class_stats
+from lolkit.errors import (
+    CcaRankExceeded,
+    DegenerateMeans,
+    RankRequestTooLarge,
+    ShapeMismatch,
+    TooFewDims,
+)
+from lolkit.linalg import random_rotation, truncated_svd
+from lolkit.model import (
+    DataMatrix,
+    LabeledDataset,
+    Projection,
+    center_class_conditional,
+    class_stats,
+)
 from lolkit.simulations import SimSpec, sample
 
 
@@ -106,6 +118,48 @@ def test_nesting_exact():
         for r in (1, 3, 5):
             part = fit(ds, r, seed=5)
             assert np.array_equal(full.directions[:, :r], part.directions), fit.__name__
+
+
+def test_exact_lol_and_rrlda_are_the_rank_k_svd_of_the_class_centered_data():
+    ds = sample(SimSpec("trunk3", 30, 24, seed=2)).dataset
+    lol = fit_lol(ds, 7)      # C-1 = 2 mean differences, then k = 5
+    rrlda = fit_rrlda(ds, 4)  # reads the SVD the lol fit left on ds
+    assert "class_centered_svd" in vars(ds)
+
+    def rank_k_u(k):
+        fresh = LabeledDataset(DataMatrix(ds.data.values.copy()), ds.labels, ds.num_classes)
+        centered = center_class_conditional(fresh, class_stats(fresh))
+        return truncated_svd(centered.values, k, mode="exact").U
+
+    delta = mean_difference_matrix(class_stats(ds))
+    assert np.array_equal(lol.directions, np.hstack([delta, rank_k_u(5)]))
+    assert np.array_equal(rrlda.directions, rank_k_u(4))
+    assert ds.class_centered_svd.U.shape == (30, 24)
+
+
+def test_randomized_lol_and_rrlda_do_not_read_the_shared_svd():
+    ds = two_class(seed=3, p=40, n=30)
+    for fit in (fit_lol, fit_rrlda):
+        a = fit(ds, 4, svd_mode="randomized", seed=0).directions
+        assert "class_centered_svd" not in vars(ds), fit.__name__
+        fit(ds, 4, svd_mode="exact")
+        b = fit(ds, 4, svd_mode="randomized", seed=1).directions
+        again = fit(ds, 4, svd_mode="randomized", seed=0).directions
+        assert not np.array_equal(a[:, -2:], b[:, -2:]), fit.__name__
+        assert np.array_equal(a, again), fit.__name__
+        del vars(ds)["class_centered_svd"]
+
+
+@pytest.mark.parametrize("mode", ["auto", "exact", "randomized"])
+def test_rank_above_min_p_n_is_still_rank_request_too_large(mode):
+    ds = two_class(p=30, n=8)
+    with pytest.raises(RankRequestTooLarge, match=r"^k=9 outside 1\.\.min\(p,n\)=8$"):
+        fit_rrlda(ds, 9, svd_mode=mode)
+    with pytest.raises(RankRequestTooLarge, match=r"^k=10 outside 1\.\.min\(p,n\)=8$"):
+        fit_lol(ds, 11, svd_mode=mode)
+    with pytest.raises(RankRequestTooLarge, match=r"^k=0 outside 1\.\.min\(p,n\)=8$"):
+        fit_rrlda(ds, 0, svd_mode=mode)
+    assert "class_centered_svd" not in vars(ds)
 
 
 def test_lfl_rp_nesting_up_to_column_scale():
