@@ -60,15 +60,15 @@ class LoadedCsv:
 def load_csv(path, label_column) -> LoadedCsv:
     """Load a UTF-8 comma- or tab-delimited file into a LabeledDataset.
 
-    The delimiter is a tab when the header line holds one.  Rows with any
-    missing entry are dropped; feature columns with fewer than
-    ONE_HOT_THRESHOLD unique values are one-hot encoded; the rest must
-    parse as reals.  ``label_column`` is a header name or integer index.
-    A plain numeric file is parsed by numpy's C tokenizer, which gives the
-    values float() gives (see _numeric_table); every other file, such as
-    one with missing entries, categorical columns, quoted fields or cells
-    like ``1_000``, is parsed row by row as it is read (see _FeatureRows),
-    so its cells are never all held as strings at once.
+    The delimiter is a tab when the header line holds one outside a quoted
+    field.  Rows with any missing entry are dropped; feature columns with
+    fewer than ONE_HOT_THRESHOLD unique values are one-hot encoded; the
+    rest must parse as reals.  ``label_column`` is a header name or
+    integer index.  A plain numeric file is parsed by numpy's C tokenizer,
+    which gives the values float() gives (see _numeric_table); every other
+    file, such as one with missing entries, categorical columns, quoted
+    fields or cells like ``1_000``, is parsed row by row as it is read (see
+    _FeatureRows), so its cells are never all held as strings at once.
     """
     try:
         fh = open(path, newline="", encoding="utf-8")
@@ -80,7 +80,8 @@ def load_csv(path, label_column) -> LoadedCsv:
             first = fh.readline()
             if not first:
                 raise ParseFailure(f"{path}: empty file")
-            delimiter = "\t" if "\t" in first else ","
+            # a tab inside a quoted field does not make a tab-delimited file
+            delimiter = "\t" if len(next(csv.reader([first], delimiter="\t"))) > 1 else ","
             header = next(csv.reader([first], delimiter=delimiter))
             # a bad label column is reported once the whole file has parsed
             label_idx, label_error = _label_index(header, label_column)

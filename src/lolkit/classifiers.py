@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import linalg as sla
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from .errors import ShapeMismatch, SingularProjectedCov, UnderdeterminedClassifier
 from .model import DataMatrix, GaussianModel, as_matrix, cov_as_dense, jittered_cholesky
@@ -150,7 +150,7 @@ def bayes_error_two_class(model: GaussianModel, proj=None):
         except np.linalg.LinAlgError as exc:  # scipy's LinAlgError is this class
             raise SingularProjectedCov(str(exc)) from exc
         quad = float(delta @ sla.cho_solve(chol, delta))
-    return float(norm.cdf(-0.5 * np.sqrt(quad)))
+    return float(ndtr(-0.5 * np.sqrt(quad)))
 
 
 def _sample_class(model: GaussianModel, c, n, rng):

@@ -270,8 +270,9 @@ def save_projection(proj: Projection, path):
         f"lolkit-projection,v1,{proj.p},{proj.d},{proj.method_tag},"
         f"{'' if proj.seed is None else proj.seed}"
     ]
+    template = ",".join(["%.17g"] * proj.p)  # one % per line: faster than a format call per value
     for j in range(proj.d):
-        lines.append(",".join(map("{:.17g}".format, proj.directions[:, j].tolist())))
+        lines.append(template % tuple(proj.directions[:, j].tolist()))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 

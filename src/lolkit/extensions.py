@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import f as f_dist
+from scipy.special import fdtrc
 
 from .benchmark import fit_projection
 from .classifiers import _sample_class
@@ -57,7 +57,10 @@ def hotelling_two_sample(e0: DataMatrix, e1: DataMatrix) -> HotellingResult:
     df1 = d
     df2 = n0 + n1 - d - 1
     f_stat = t2 * df2 / (d * (n0 + n1 - 2))
-    p_value = float(f_dist.sf(f_stat, df1, df2)) if df2 > 0 else 1.0
+    # fdtrc is the F survival function that scipy.stats' f.sf evaluates;
+    # like f.sf, give 1.0 at F <= 0, where fdtrc gives NaN below 0 (solve
+    # can return a T^2 just under 0); NaN stays NaN and +inf gives 0.0
+    p_value = 1.0 if df2 <= 0 or f_stat <= 0 else float(fdtrc(df1, df2, f_stat))
     return HotellingResult(t_squared=t2, f_statistic=f_stat, df1=df1, df2=df2,
                            p_value=p_value)
 

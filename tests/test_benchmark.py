@@ -83,6 +83,19 @@ def test_load_csv_tab_autodetect_and_label_index(tmp_path):
     assert loaded.dataset.n == 11
 
 
+@pytest.mark.parametrize("header, sep, names", [
+    ('"a\tb",label', ",", ("a\tb",)),      # a quoted tab in a comma file
+    ("a\tlabel", "\t", ("a",)),            # a tab file
+    ('"a\tb"\tlabel', "\t", ("a\tb",)),    # a tab file with a quoted tab
+])
+def test_load_csv_sniffs_a_tab_only_outside_quoted_fields(tmp_path, header, sep, names):
+    path = write(tmp_path, header + "\n" + "".join(f"{i + 0.5}{sep}{i % 2}\n" for i in range(12)))
+    loaded = load_csv(path, "label")
+    assert loaded.feature_names == names
+    assert loaded.dataset.data.values.tolist() == [[i + 0.5 for i in range(12)]]
+    assert loaded.dataset.labels.tolist() == [i % 2 for i in range(12)]
+
+
 def test_load_csv_reads_a_pipe(tmp_path):
     # a stream that cannot be rewound is parsed by the float() path alone
     fifo = tmp_path / "d.csv"

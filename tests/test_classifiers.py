@@ -125,6 +125,15 @@ def test_bayes_error_closed_form_values():
     assert abs(bayes_error_two_class(m) - 0.5) < 1e-12
 
 
+def test_bayes_error_closed_form_is_bit_equal_to_norm_cdf():
+    diag = np.array([1.0, 4.0, 0.5])
+    for scale in np.concatenate([[0.0], np.logspace(-8, 2, 101)]):
+        delta = scale * np.array([1.0, -2.0, 0.25])
+        quad = float(np.sum(delta * delta / diag))
+        expected = float(norm.cdf(-0.5 * np.sqrt(quad)))
+        assert bayes_error_two_class(_model(delta, diag)) == expected, scale
+
+
 def test_bayes_error_diagonal_and_projection_paths_agree():
     delta = np.array([1.0, 2.0, 0.5])
     diag = np.array([1.0, 4.0, 2.0])

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from lolkit.benchmark import ALGORITHMS
-from lolkit.cli import _atomic_write, _parse_sweep, build_parser, main
+from lolkit.cli import _atomic_write, _parse_sweep, _samples_csv, build_parser, main
+from lolkit.embeddings import save_projection
 from lolkit.errors import ParseFailure
+from lolkit.model import Projection
 
 
 def run(args):
@@ -264,6 +266,25 @@ def test_atomic_write_streams_utf8_lines(tmp_path):
     assert list(tmp_path.iterdir()) == [out]
 
 
+# -0.0, subnormals down to 5e-324, the largest doubles, and values whose
+# shortest repr is shorter than 17 digits
+ROUND_TRIP = [-0.0, 0.0, 5e-324, -1e-320, 2.2250738585072014e-308, 1e308, -1.7976931348623157e308,
+              0.1, -1 / 3, 1e16, 123456789.125, 2.0 ** -1074 * 3]
+
+
+def test_percent_template_writes_what_per_value_format_wrote(tmp_path):
+    for v in ROUND_TRIP + [float("inf"), -float("inf"), float("nan")]:
+        assert "%.17g" % v == "{:.17g}".format(v), v
+    values = np.array([ROUND_TRIP + [float("inf")], ROUND_TRIP[::-1] + [float("nan")]]).T
+    lines = list(_samples_csv("f", values, "label", ["0", "x"]))
+    assert lines[1:] == [",".join(map("{:.17g}".format, col)) + f",{last}\n"
+                         for col, last in zip(values.T.tolist(), "0x")]
+    path = tmp_path / "proj.txt"
+    save_projection(Projection(values[:-1], "lol"), path)
+    assert path.read_text().splitlines()[1:] == [",".join(map("{:.17g}".format, col))
+                                                 for col in values[:-1].T.tolist()]
+
+
 @pytest.mark.parametrize("argv, error", [
     (["test", "--family", "trunk", "--p", "10", "--reps", "0"], "ShapeMismatch"),
     (["chernoff", "--max-p", "1"], "ParseFailure"),
@@ -277,6 +298,10 @@ def test_atomic_write_streams_utf8_lines(tmp_path):
     # two equal sparse random columns make the embedded covariance singular
     (["test", "--family", "stacked_cigars", "--p", "2", "--d", "2", "--reps", "5",
       "--methods", "rp"], "SingularProjectedCov"),
+    # a NaN or infinite float option; --alpha nan used to print "alpha": NaN
+    (["test", "--family", "toeplitz_diag", "--p", "3", "--reps", "2", "--n-per-group", "4",
+      "--d", "1", "--alpha", "nan"], "ParseFailure"),
+    (["regress", "--p", "2", "--n", "8", "--frobenius", "inf"], "ParseFailure"),
 ])
 def test_argument_ranges_are_structured_errors(capsys, argv, error):
     assert run(argv) == 2

@@ -2,9 +2,9 @@
 
 Every argument vector runs to exit 0, or to exit 2 with a one-line JSON
 error on stderr; none may raise.  Integer options are drawn from
-{-1, 0, 1, 2} and float options from {-1, 0, 0.5, 1, 2}, and the inputs
-are a tiny CSV fixture, so no draw can ask for a large allocation or a
-long run.
+{-1, 0, 1, 2} and float options from {-1, 0, 0.5, 1, 2, nan, inf, -inf},
+and the inputs are a tiny CSV fixture, so no draw can ask for a large
+allocation or a long run.
 """
 
 import contextlib
@@ -19,7 +19,7 @@ from lolkit.cli import main
 from lolkit.simulations import FAMILIES
 
 INTS = st.sampled_from(["-1", "0", "1", "2"])
-FLOATS = st.sampled_from(["-1", "0", "0.5", "1", "2"])
+FLOATS = st.sampled_from(["-1", "0", "0.5", "1", "2", "nan", "inf", "-inf"])
 
 
 def _option(draw, name, values):
@@ -28,6 +28,11 @@ def _option(draw, name, values):
 
 def _maybe(draw, name, values):
     return _option(draw, name, values) if draw(st.booleans()) else []
+
+
+def _maybe_float(draw, name):
+    # one --name=value token, so that argparse reads "-inf" as a value
+    return [f"{name}={draw(FLOATS)}"] if draw(st.booleans()) else []
 
 
 def _algorithms(draw):
@@ -39,7 +44,7 @@ def _family_options(draw):
     argv = ["--family", draw(st.sampled_from(FAMILIES))]
     argv += _option(draw, "--p", INTS) + _option(draw, "--seed", INTS)
     for name in ("--a", "--b", "--rho", "--frobenius", "--delta-scale"):
-        argv += _maybe(draw, name, FLOATS)
+        argv += _maybe_float(draw, name)
     return argv
 
 
@@ -74,13 +79,13 @@ def argv_for(draw, files):
     if sub == "test":
         return (["test"] + _family_options(draw) + _option(draw, "--n-per-group", INTS)
                 + _option(draw, "--d", INTS) + _option(draw, "--reps", INTS)
-                + _maybe(draw, "--alpha", FLOATS) + ["--methods", _algorithms(draw)]
+                + _maybe_float(draw, "--alpha") + ["--methods", _algorithms(draw)]
                 + (["--split"] if draw(st.booleans()) else []))
     if sub == "regress":
         return (["regress"] + _option(draw, "--p", INTS) + _option(draw, "--n", INTS)
                 + _option(draw, "--k-bins", INTS) + _option(draw, "--d", INTS)
-                + _option(draw, "--seed", INTS) + _maybe(draw, "--rho", FLOATS)
-                + _maybe(draw, "--frobenius", FLOATS))
+                + _option(draw, "--seed", INTS) + _maybe_float(draw, "--rho")
+                + _maybe_float(draw, "--frobenius"))
     sweep = draw(st.sampled_from(["1:2:x2", "2:2:x2", "2:4:x2", "2:3:x1.5"]))
     return (["scale", "--p-sweep", sweep] + _option(draw, "--n", INTS)
             + _option(draw, "--d", INTS) + _option(draw, "--repeats", INTS)

@@ -33,6 +33,32 @@ def test_hotelling_d1_reduces_to_squared_t():
     assert abs(res.p_value - p) < 1e-12
 
 
+def _f_sf(res):
+    return float(sps.f.sf(res.f_statistic, res.df1, res.df2))
+
+
+def test_hotelling_p_value_is_bit_equal_to_scipy_stats_f_sf(monkeypatch):
+    rng = np.random.default_rng(2)
+    for d, n0, n1, shift in [(1, 5, 4, 0.3), (2, 8, 9, 0.0), (3, 20, 15, 1.0),
+                             (5, 6, 7, 2.0), (4, 40, 40, 0.05), (2, 200, 150, 4.0)]:
+        a = rng.standard_normal((d, n0)) + shift
+        b = rng.standard_normal((d, n1))
+        res = hotelling_two_sample(DataMatrix(a), DataMatrix(b))
+        assert res.f_statistic > 0
+        assert res.p_value == _f_sf(res), (d, n0, n1)
+    # F = 0: equal group means
+    a = rng.standard_normal((3, 10))
+    res = hotelling_two_sample(DataMatrix(a), DataMatrix(a.copy()))
+    assert res.f_statistic == 0.0
+    assert res.p_value == _f_sf(res) == 1.0
+    # F just below 0, as solve can give for a near-zero mean difference
+    b = rng.standard_normal((3, 12))
+    monkeypatch.setattr(np.linalg, "solve", lambda m, v: -1e-300 * v)
+    res = hotelling_two_sample(DataMatrix(a), DataMatrix(b))
+    assert res.f_statistic < 0
+    assert res.p_value == _f_sf(res) == 1.0
+
+
 def test_hotelling_underdetermined():
     with pytest.raises(UnderdeterminedTest):
         hotelling_two_sample(DataMatrix(np.zeros((5, 3))), DataMatrix(np.zeros((5, 3))))
