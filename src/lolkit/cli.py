@@ -163,14 +163,13 @@ def cmd_chernoff(args):
         g = rng.standard_normal((p, p))
         sigma = g @ g.T / p + 0.1 * np.eye(p)
         delta = rng.standard_normal(p)
+        u = np.linalg.eigh(sigma)[1][:, ::-1]
         for d in range(1, p + 1):
             try:
                 gap = lol_vs_lda_gap(delta, sigma, d)
             except LolkitError:
                 continue
             worst_lda = min(worst_lda, gap)
-            lam, u = np.linalg.eigh(sigma)
-            u = u[:, ::-1]
             a = np.column_stack([delta, u[:, : d - 1]])
             q_lol = projected_chernoff_quadform(a, delta, sigma)
             direct = q_lol - projected_chernoff_quadform(u[:, :d], delta, sigma)
@@ -295,9 +294,16 @@ def _add_family_args(sp, default_family=None):
     sp.add_argument("--delta-scale", dest="delta_scale", type=float, default=None)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors raise ParseFailure, so they
+    reach the user as the JSON error body; subparsers share the class."""
+
+    def error(self, message):
+        raise ParseFailure(f"{self.prog}: {message}")
+
+
 def build_parser():
-    ap = argparse.ArgumentParser(prog="lolkit",
-                                 description="supervised low-rank projection toolkit")
+    ap = _Parser(prog="lolkit", description="supervised low-rank projection toolkit")
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("sim", help="sample a synthetic dataset")
@@ -376,8 +382,8 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if getattr(args, "seed", 0) < 0:  # numpy seeds are non-negative
             raise ParseFailure(f"--seed must be non-negative, got {args.seed}")
         for name, value in vars(args).items():

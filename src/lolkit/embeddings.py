@@ -17,8 +17,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DegenerateMeans, PlsNoConvergence, ShapeMismatch, TooFewDims
-from .linalg import implicit_cca_eigs, resolve_svd_mode, sparse_random_columns, truncated_svd
+from .errors import DegenerateMeans, DegenerateTarget, ShapeMismatch, TooFewDims
+from .linalg import (
+    _fix_signs,
+    implicit_cca_eigs,
+    resolve_svd_mode,
+    sparse_random_columns,
+    truncated_svd,
+)
 from .model import (
     ClassStats,
     DataMatrix,
@@ -197,13 +203,35 @@ def fit_lrcca(dataset: LabeledDataset, d) -> Projection:
     return Projection(vecs, method_tag="cca")
 
 
-# NIPALS: relative tolerance on successive score vectors, iteration cap
-PLS_TOL = 1e-10
-PLS_MAX_ITER = 500
+def _pls_weights(x, targets, d):
+    """d PLS weight vectors (p x d) of the centered p x n data ``x``
+    against the centered m x n ``targets``; ``x`` is deflated in place.
+
+    Each weight is the top left singular vector of the cross-product
+    X_a Y^T of the deflated data and the targets, the fixed point that a
+    NIPALS power iteration converges to (Hoskuldsson 1988), signed so its
+    largest-magnitude entry is positive.  The targets are not deflated:
+    X_{a+1} t_a = 0, so deflating them leaves later cross-products as
+    they are.  A zero cross-product or score raises DegenerateTarget.
+    """
+    weights = np.empty((x.shape[0], d))
+    for comp in range(d):
+        cross = x @ targets.T
+        if not np.any(cross):
+            raise DegenerateTarget(f"zero cross-product at component {comp}")
+        u = np.linalg.svd(cross, full_matrices=False)[0]
+        w = _fix_signs(u[:, :1])[0][:, 0]
+        t = x.T @ w
+        tt = t @ t
+        if tt == 0:
+            raise DegenerateTarget(f"zero score vector at component {comp}")
+        x -= np.outer(x @ t / tt, t)
+        weights[:, comp] = w
+    return weights
 
 
 def fit_pls(dataset: LabeledDataset, d) -> Projection:
-    """NIPALS PLS2 weight vectors against one-hot class labels.
+    """PLS2 weight vectors against one-hot class labels.
 
     X is pooled-centered and Y row-centered internally; successive
     components deflate X, so the returned weight vectors are mutually
@@ -218,33 +246,7 @@ def fit_pls(dataset: LabeledDataset, d) -> Projection:
     yhot = np.zeros((dataset.num_classes, dataset.n))
     yhot[dataset.labels, np.arange(dataset.n)] = 1.0
     yres = yhot - yhot.mean(axis=1, keepdims=True)
-
-    weights = np.empty((dataset.p, d))
-    for comp in range(d):
-        u = yres[np.argmax(np.einsum("ij,ij->i", yres, yres))]
-        t_old = None
-        for _ in range(PLS_MAX_ITER):
-            w = x @ u
-            nw = np.linalg.norm(w)
-            if nw == 0:
-                raise PlsNoConvergence(comp, f"zero weight vector at component {comp}")
-            w /= nw
-            t = x.T @ w
-            tt = t @ t
-            if tt == 0:
-                raise PlsNoConvergence(comp, f"zero score vector at component {comp}")
-            q = yres @ t / tt
-            u = yres.T @ q / (q @ q)
-            if t_old is not None and np.linalg.norm(t - t_old) <= PLS_TOL * np.linalg.norm(t):
-                break
-            t_old = t
-        else:
-            raise PlsNoConvergence(comp)
-        weights[:, comp] = w
-        p_load = x @ t / tt
-        x -= np.outer(p_load, t)
-        yres = yres - np.outer(q, t)
-    return Projection(weights, method_tag="pls")
+    return Projection(_pls_weights(x, yres, d), method_tag="pls")
 
 
 def embed(proj: Projection, m: DataMatrix) -> DataMatrix:

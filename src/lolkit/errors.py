@@ -44,12 +44,6 @@ class TooFewDims(LolkitError):
     pass
 
 
-class PlsNoConvergence(LolkitError):
-    def __init__(self, component, message=None):
-        self.component = component
-        super().__init__(message or f"NIPALS failed to converge on component {component}")
-
-
 class ShapeMismatch(LolkitError):
     pass
 

@@ -14,7 +14,7 @@ from scipy.special import fdtrc
 
 from .benchmark import fit_projection
 from .classifiers import _sample_class
-from .embeddings import embed
+from .embeddings import _pls_weights, embed
 from .errors import (
     DegenerateTarget,
     ShapeMismatch,
@@ -166,28 +166,12 @@ def lol_regression(x: DataMatrix, y, num_bins=4, d=5, seed=0) -> EmbeddedRegress
 
 
 def pls1_regression(x: DataMatrix, y, d) -> EmbeddedRegression:
-    """PLS1 regression baseline: NIPALS weight vectors against the
-    centered scalar target, then least squares on the scores."""
+    """PLS1 regression baseline: PLS weight vectors against the centered
+    scalar target, then least squares on the scores."""
     xv = x.values
     yv = np.asarray(y, dtype=np.float64)
-    xm = xv.mean(axis=1, keepdims=True)
-    ym = yv.mean()
-    xc = xv - xm
-    yc = yv - ym
-    weights = np.empty((x.p, d))
-    for comp in range(d):
-        w = xc @ yc
-        nw = np.linalg.norm(w)
-        if nw == 0:
-            raise DegenerateTarget("target uncorrelated with all features")
-        w /= nw
-        t = xc.T @ w
-        tt = t @ t
-        p_load = xc @ t / tt
-        q = yc @ t / tt
-        xc = xc - np.outer(p_load, t)
-        yc = yc - q * t
-        weights[:, comp] = w
+    yc = yv - yv.mean()
+    weights = _pls_weights(xv - xv.mean(axis=1, keepdims=True), yc[None, :], d)
     proj = Projection(weights, method_tag="pls1")
     e = proj.directions.T @ xv
     design = np.vstack([np.ones(e.shape[1]), e]).T

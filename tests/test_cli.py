@@ -214,11 +214,11 @@ def test_bench_rejects_d_max_below_one(tmp_path, capsys, d_max):
 
 
 def test_bench_threads_flag_is_gone(tmp_path, capsys):
-    with pytest.raises(SystemExit) as exc:
-        run(["bench", "--input", str(tmp_path / "x.csv"), "--threads", "2",
-             "--output-dir", str(tmp_path / "b")])
-    assert exc.value.code == 2
-    assert "--threads" in capsys.readouterr().err
+    assert run(["bench", "--input", str(tmp_path / "x.csv"), "--threads", "2",
+                "--output-dir", str(tmp_path / "b")]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ParseFailure"
+    assert "--threads" in err["message"]
 
 
 def test_oversized_csv_field_is_a_structured_error(tmp_path, capsys):
@@ -302,6 +302,13 @@ def test_percent_template_writes_what_per_value_format_wrote(tmp_path):
     (["test", "--family", "toeplitz_diag", "--p", "3", "--reps", "2", "--n-per-group", "4",
       "--d", "1", "--alpha", "nan"], "ParseFailure"),
     (["regress", "--p", "2", "--n", "8", "--frobenius", "inf"], "ParseFailure"),
+    # argparse usage errors: a bad type, an unknown flag, a missing required
+    # option, and a separate "-inf" token, which argparse reads as a flag
+    (["fit", "--input", "x.csv", "--alg", "lol", "--d", "abc", "--output", "p.txt"],
+     "ParseFailure"),
+    (["chernoff", "--no-such-flag"], "ParseFailure"),
+    (["regress", "--p", "4"], "ParseFailure"),
+    (["test", "--family", "trunk", "--p", "4", "--alpha", "-inf"], "ParseFailure"),
 ])
 def test_argument_ranges_are_structured_errors(capsys, argv, error):
     assert run(argv) == 2

@@ -19,6 +19,7 @@ from lolkit.embeddings import (
 from lolkit.errors import (
     CcaRankExceeded,
     DegenerateMeans,
+    DegenerateTarget,
     RankRequestTooLarge,
     ShapeMismatch,
     TooFewDims,
@@ -316,6 +317,13 @@ def test_pls_one_component_matches_cross_covariance():
     w /= np.linalg.norm(w)
     assert min(np.linalg.norm(proj.directions[:, 0] - w),
                np.linalg.norm(proj.directions[:, 0] + w)) < 1e-8
+
+
+def test_pls_constant_features_are_a_degenerate_target():
+    # centered X is zero, so the first cross-product with the labels is too
+    ds = make_dataset(np.ones((4, 10)), np.arange(10) % 2)
+    with pytest.raises(DegenerateTarget, match="zero cross-product at component 0"):
+        fit_pls(ds, 2)
 
 
 def test_orthogonal_equivariance_with_sign_convention():

@@ -178,3 +178,9 @@ def test_pls1_regression_recovery():
     assert mse < 1e-10 * np.var(y)
     partial = pls1_regression(DataMatrix(x[:, :150]), y[:150], 3)
     assert mean_squared_error(partial, DataMatrix(x[:, 150:]), y[150:]) < 0.2 * np.var(y)
+
+
+def test_pls1_regression_constant_target_is_degenerate():
+    x = DataMatrix(np.random.default_rng(6).standard_normal((4, 20)))
+    with pytest.raises(DegenerateTarget, match="zero cross-product"):
+        pls1_regression(x, np.full(20, 3.0), 2)
