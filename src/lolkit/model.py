@@ -181,6 +181,9 @@ class GaussianModel:
                     raise ShapeMismatch("dense covariance must be symmetric square")
             elif c.ndim != 1:
                 raise ShapeMismatch("covariance must be dense (2-D) or diagonal (1-D)")
+            elif np.any(c < 0):
+                # e.g. stacked_cigars or robust with b < 0, cross with a < 0
+                raise ShapeMismatch("a diagonal covariance must have non-negative variances")
         object.__setattr__(self, "priors", pr)
         object.__setattr__(self, "means", mu)
         object.__setattr__(self, "covariances", covs)

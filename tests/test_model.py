@@ -153,6 +153,8 @@ def test_gaussian_model_validation():
     with pytest.raises(ShapeMismatch):
         GaussianModel(np.array([0.5, 0.5]), np.zeros((2, 2)),
                       (np.array([[1.0, 5.0], [0.0, 1.0]]),))
+    with pytest.raises(ShapeMismatch):  # a negative variance cannot be sampled
+        GaussianModel(np.array([0.5, 0.5]), np.zeros((2, 2)), (np.array([1.0, -1.0]),))
     m = GaussianModel(np.array([0.5, 0.5]), np.zeros((2, 2)),
                       (np.ones(2), 2 * np.ones(2)), shared=False)
     assert m.covariance_of(1)[0] == 2.0
