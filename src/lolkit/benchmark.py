@@ -3,10 +3,10 @@ and comparison metrics.
 
 The protocol: stratified k-fold assignment, per-fold training subsample
 of size min(floor(n (k-1) / k), p - 1), projections fitted once per fold
-at the maximum dimension and reused through column prefixes for every
-r, a classifier per r, evaluation on the held-out fold.  Errors during a
-single (algorithm, fold, r) cell are recorded as missing instead of
-aborting the sweep.
+at the maximum dimension, both folds embedded once at that width and
+each r given the leading r rows, a classifier per r, evaluation on the
+held-out fold.  Errors during a single (algorithm, fold, r) cell are
+recorded as missing instead of aborting the sweep.
 """
 
 from __future__ import annotations
@@ -421,6 +421,24 @@ def _check_algorithm(tag):
         raise ShapeMismatch(f"unknown algorithm {tag!r}; choose from {ALGORITHMS}")
 
 
+def check_algorithms(tags):
+    """Raise ShapeMismatch for the first tag in ``tags`` that is unknown or
+    repeats an earlier one."""
+    seen = set()
+    for tag in tags:
+        _check_algorithm(tag)
+        if tag in seen:
+            raise ShapeMismatch(f"algorithm {tag!r} listed twice")
+        seen.add(tag)
+
+
+def require_baseline(tags):
+    """Raise NoBaseline unless ``tags`` holds "lol", the curve every
+    normalized metric is relative to."""
+    if "lol" not in tags:
+        raise NoBaseline("normalized metrics require an 'lol' curve")
+
+
 def fit_projection(tag, dataset, d, svd_mode="auto", seed=0):
     """Fit the projection registered under ``tag`` (one of ALGORITHMS).
 
@@ -487,6 +505,19 @@ def _one_blas_thread(controls):
 def sweep(dataset: LabeledDataset, algorithms, d_max, plan: FoldPlan, classifier="lda"):
     """Error curves for every algorithm over r = 1..d_max.
 
+    ``algorithms`` are distinct tags from ALGORITHMS and ``classifier`` is
+    "lda" or "qda"; anything else raises ShapeMismatch before any fit.
+
+    Each (fold, algorithm) fit embeds the training and the test fold once
+    at its full width, and the cell for r takes the leading r rows of both
+    embeddings: the fits nest, so those rows are the r-dim embeddings.  A
+    failed full-width embedding marks the fold's cells missing, as a
+    failed fit does.  The r = 1 cell alone embeds through ``prefix(1)``:
+    numpy computes a one-row product by a matrix-vector path whose last
+    bits differ from row 0 of the full product, and the 1-dim cca
+    embedding, with almost no within-class variance when n <= p, changes
+    its predictions on those bits.
+
     Each fold's projection fits and per-r cells (embed, classifier fit,
     predict) run with BLAS at one thread: their SVDs and d x d solves are
     far slower when two thread pools contend for the cores.  The cca fit
@@ -495,8 +526,9 @@ def sweep(dataset: LabeledDataset, algorithms, d_max, plan: FoldPlan, classifier
     process-wide, so sweeps running concurrently in one process can
     restore each other's pinned count.
     """
-    for tag in algorithms:
-        _check_algorithm(tag)
+    check_algorithms(algorithms)
+    if classifier not in ("lda", "qda"):
+        raise ShapeMismatch(f"unknown classifier {classifier!r}; choose from ('lda', 'qda')")
     if not 1 <= d_max <= dataset.p - 1:
         raise ShapeMismatch(f"d_max={d_max} must lie in 1..p-1={dataset.p - 1}")
     fit_cls, predict = (fit_qda, predict_qda) if classifier == "qda" else (fit_lda, predict_lda)
@@ -521,11 +553,22 @@ def sweep(dataset: LabeledDataset, algorithms, d_max, plan: FoldPlan, classifier
                 except _CELL_ERRORS:
                     continue
             with _one_blas_thread(blas):
-                for r in range(1, min(d_max, proj.d) + 1):
+                width = min(d_max, proj.d)
+                try:
+                    full = proj.prefix(width)
+                    z_train = emb.embed(full, train_ds.data).values
+                    z_test = emb.embed(full, test).values
+                except _CELL_ERRORS:
+                    continue
+                for r in range(1, width + 1):
                     try:
-                        pre = proj.prefix(r)
-                        clf = fit_cls(emb.embed(pre, train_ds.data), train_ds.labels, c)
-                        pred = predict(clf, emb.embed(pre, test))
+                        if r == 1:
+                            pre = proj.prefix(1)
+                            e_train, e_test = emb.embed(pre, train_ds.data), emb.embed(pre, test)
+                        else:
+                            e_train, e_test = DataMatrix(z_train[:r]), DataMatrix(z_test[:r])
+                        clf = fit_cls(e_train, train_ds.labels, c)
+                        pred = predict(clf, e_test)
                         tag_rates[j, r - 1] = misclassification_rate(pred, y[te])
                     except _CELL_ERRORS:
                         continue
@@ -561,8 +604,7 @@ def _chance_rates(labels, plan):
 def normalized_report(curves, plan: FoldPlan, dataset: LabeledDataset):
     """Per-algorithm r*, error at r*, and LOL-relative normalized metrics."""
     by_tag = {c.algorithm: c for c in curves}
-    if "lol" not in by_tag:
-        raise NoBaseline("normalized metrics require an 'lol' curve")
+    require_baseline(by_tag)
     p = dataset.p
     chance = _chance_rates(dataset.labels, plan)
 

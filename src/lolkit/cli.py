@@ -133,13 +133,16 @@ def cmd_embed(args):
 
 
 def cmd_bench(args):
+    # a bad tag list fails before the CSV is read and any fold is fitted
+    algs = args.algs.split(",")
+    benchmark.check_algorithms(algs)
+    benchmark.require_baseline(algs)
     dataset = _load(args)
     plan = benchmark.make_fold_plan(dataset.n, dataset.p, dataset.num_classes,
                                     args.k, dataset.labels, args.seed)
     d_max = args.d_max
     if d_max is None:
         d_max = min(dataset.p - 1, 100, min(len(s) for s in plan.train_subsets) - 1)
-    algs = args.algs.split(",")
     curves = benchmark.sweep(dataset, algs, d_max, plan, classifier=args.classifier)
     report = benchmark.normalized_report(curves, plan, dataset)
     os.makedirs(args.output_dir, exist_ok=True)

@@ -250,6 +250,24 @@ def test_sweep_rejects_unknown_tag_before_fitting(monkeypatch):
         sweep(ds, ["lol", "foo"], 4, plan)
 
 
+def test_sweep_rejects_a_repeated_tag_before_fitting(monkeypatch):
+    ds = trunk_dataset(p=15, n=80, seed=3)
+    plan = make_fold_plan(ds.n, ds.p, 2, 3, ds.labels, seed=3)
+    monkeypatch.setitem(benchmark._SEEDED_FITS, "lol", None)  # would fail if called
+    monkeypatch.setitem(benchmark._SEEDED_FITS, "pca", None)
+    with pytest.raises(ShapeMismatch, match="'pca' listed twice"):
+        sweep(ds, ["pca", "lol", "pca"], 4, plan)
+
+
+def test_sweep_rejects_an_unknown_classifier_before_fitting(monkeypatch):
+    ds = trunk_dataset(p=15, n=80, seed=3)
+    plan = make_fold_plan(ds.n, ds.p, 2, 3, ds.labels, seed=3)
+    monkeypatch.setitem(benchmark._SEEDED_FITS, "lol", None)  # would fail if called
+    for classifier in ("svm", "LDA", None):
+        with pytest.raises(ShapeMismatch, match=f"unknown classifier {classifier!r}"):
+            sweep(ds, ["lol"], 4, plan, classifier=classifier)
+
+
 def test_sweep_records_linalg_failures_as_missing_cells(monkeypatch):
     ds = trunk_dataset(p=15, n=80, seed=3)
     plan = make_fold_plan(ds.n, ds.p, 2, 3, ds.labels, seed=3)

@@ -6,6 +6,7 @@ import stat
 import numpy as np
 import pytest
 
+from lolkit import benchmark
 from lolkit.benchmark import ALGORITHMS
 from lolkit.cli import _atomic_write, _parse_sweep, _samples_csv, build_parser, main
 from lolkit.embeddings import save_projection
@@ -109,6 +110,23 @@ def test_bench_unknown_algorithm_fails_before_fitting(tmp_path, capsys):
     assert err["error"] == "ShapeMismatch"
     assert "'foo'" in err["message"]
     assert all(tag in err["message"] for tag in ALGORITHMS)
+    assert not (tmp_path / "b").exists()
+
+
+def test_bench_without_lol_fails_before_the_sweep(tmp_path, capsys, monkeypatch):
+    sim_dir = tmp_path / "sim"
+    run(["sim", "--family", "trunk", "--p", "15", "--n", "80",
+         "--output-dir", str(sim_dir)])
+    calls = []
+    monkeypatch.setattr(benchmark, "sweep", lambda *args, **kwargs: calls.append(args))
+    code = run(["bench", "--input", str(sim_dir / "dataset.csv"), "--algs", "pca,rp",
+                "--k", "3", "--d-max", "4", "--output-dir", str(tmp_path / "b")])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert json.loads(captured.err) == {
+        "error": "NoBaseline", "message": "normalized metrics require an 'lol' curve"}
+    assert captured.out == ""
+    assert calls == []
     assert not (tmp_path / "b").exists()
 
 
@@ -309,6 +327,9 @@ def test_percent_template_writes_what_per_value_format_wrote(tmp_path):
     (["chernoff", "--no-such-flag"], "ParseFailure"),
     (["regress", "--p", "4"], "ParseFailure"),
     (["test", "--family", "trunk", "--p", "4", "--alpha", "-inf"], "ParseFailure"),
+    # bench checks its tags before it reads the CSV, which need not exist
+    (["bench", "--input", "no-such.csv", "--algs", "lol,lol", "--output-dir", "no-such"],
+     "ShapeMismatch"),
 ])
 def test_argument_ranges_are_structured_errors(capsys, argv, error):
     assert run(argv) == 2
