@@ -331,20 +331,16 @@ def _stratified_subsample(indices, labels, size, rng):
     exact = size * counts / counts.sum()
     alloc = np.maximum(np.floor(exact).astype(int), 1)
     alloc = np.minimum(alloc, counts.astype(int))
-    # distribute the remainder by largest fractional part
-    order = np.argsort(-(exact - np.floor(exact)))
-    i = 0
-    while alloc.sum() < size:
-        j = order[i % order.size]
+    # spread the remainder by largest fractional part in one pass: it is
+    # below the number of classes that kept their floor, each with room
+    for j in np.argsort(-(exact - np.floor(exact))):
+        if alloc.sum() >= size:
+            break
         if alloc[j] < counts[j]:
             alloc[j] += 1
-        i += 1
-        if i > 10 * order.size and alloc.sum() < size:
-            break
+    # classes raised to one sample can overshoot: the largest give it back
     while alloc.sum() > size:
-        j = int(np.argmax(alloc))
-        if alloc[j] > 1:
-            alloc[j] -= 1
+        alloc[np.argmax(alloc)] -= 1
     picked = []
     for c, m in zip(classes, alloc):
         idx = per_class[c]
@@ -553,14 +549,12 @@ def sweep(dataset: LabeledDataset, algorithms, d_max, plan: FoldPlan, classifier
                 except _CELL_ERRORS:
                     continue
             with _one_blas_thread(blas):
-                width = min(d_max, proj.d)
                 try:
-                    full = proj.prefix(width)
-                    z_train = emb.embed(full, train_ds.data).values
-                    z_test = emb.embed(full, test).values
+                    z_train = emb.embed(proj, train_ds.data).values
+                    z_test = emb.embed(proj, test).values
                 except _CELL_ERRORS:
                     continue
-                for r in range(1, width + 1):
+                for r in range(1, proj.d + 1):
                     try:
                         if r == 1:
                             pre = proj.prefix(1)

@@ -17,7 +17,7 @@ from scipy import linalg as sla
 from scipy.special import ndtr
 
 from .errors import ShapeMismatch, SingularProjectedCov, UnderdeterminedClassifier
-from .model import DataMatrix, GaussianModel, as_matrix, cov_as_dense, jittered_cholesky
+from .model import DataMatrix, GaussianModel, as_matrix, cov_as_dense, gaussian_noise
 
 RIDGE_REL = 1e-8
 
@@ -154,12 +154,8 @@ def bayes_error_two_class(model: GaussianModel, proj=None):
 
 
 def _sample_class(model: GaussianModel, c, n, rng):
-    cov = model.covariance_of(c)
-    mean = model.means[:, c]
-    if cov.ndim == 1:
-        z = rng.standard_normal((model.p, n))
-        return mean[:, None] + np.sqrt(cov)[:, None] * z
-    return mean[:, None] + jittered_cholesky(cov) @ rng.standard_normal((model.p, n))
+    z = rng.standard_normal((model.p, n))
+    return model.means[:, c, None] + gaussian_noise(model.covariance_of(c), z)
 
 
 def bayes_error_monte_carlo(model: GaussianModel, proj=None, n_samples=100_000, seed=0):

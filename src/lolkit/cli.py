@@ -14,7 +14,6 @@ import itertools
 import json
 import os
 import sys
-import tempfile
 import time
 
 import numpy as np
@@ -22,27 +21,8 @@ import numpy as np
 from . import benchmark, embeddings, extensions, simulations
 from .chernoff import lol_vs_lda_gap, lol_vs_pca_gap, projected_chernoff_quadform, pooled_top_eigvecs
 from .errors import LolkitError, ParseFailure
+from .files import _atomic_write
 from .model import DataMatrix, LabeledDataset
-
-
-def _atomic_write(path, lines):
-    """Write the strings of ``lines`` to ``path`` as UTF-8, each as it is
-    made, through a temporary file that replaces ``path`` only once all
-    of them are written.  The file gets the mode open() would give it,
-    0o666 less the umask, not mkstemp's 0o600."""
-    d = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".lolkit-tmp-")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            umask = os.umask(0)  # the only way to read it is to set it
-            os.umask(umask)
-            os.fchmod(fh.fileno(), 0o666 & ~umask)
-            fh.writelines(lines)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def _write_json(path, obj):
@@ -285,9 +265,8 @@ def cmd_scale(args):
     return 0
 
 
-def _add_family_args(sp, default_family=None):
-    if default_family is None:
-        sp.add_argument("--family", required=True, choices=simulations.FAMILIES)
+def _add_family_args(sp):
+    sp.add_argument("--family", required=True, choices=simulations.FAMILIES)
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--a", type=float, default=None)

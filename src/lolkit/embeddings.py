@@ -18,6 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DegenerateMeans, DegenerateTarget, ShapeMismatch, TooFewDims
+from .files import _atomic_write
 from .linalg import (
     _fix_signs,
     implicit_cca_eigs,
@@ -264,19 +265,18 @@ def embed(proj: Projection, m: DataMatrix) -> DataMatrix:
 #                  (column-major, round-trip exact)
 
 def save_projection(proj: Projection, path):
-    """Write ``proj`` in the v1 text format; a ``method_tag`` holding a
-    comma or a line break raises ShapeMismatch before the file is opened."""
+    """Write ``proj`` in the v1 text format through _atomic_write; a tag
+    holding a comma or a line break raises ShapeMismatch before any write."""
     if any(ch in proj.method_tag for ch in ",\n\r"):
         raise ShapeMismatch(f"method tag {proj.method_tag!r} holds a comma or a line break")
     lines = [
         f"lolkit-projection,v1,{proj.p},{proj.d},{proj.method_tag},"
-        f"{'' if proj.seed is None else proj.seed}"
+        f"{'' if proj.seed is None else proj.seed}\n"
     ]
-    template = ",".join(["%.17g"] * proj.p)  # one % per line: faster than a format call per value
+    template = ",".join(["%.17g"] * proj.p) + "\n"  # one % per line: faster than per value
     for j in range(proj.d):
         lines.append(template % tuple(proj.directions[:, j].tolist()))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _atomic_write(path, lines)
 
 
 def load_projection(path) -> Projection:

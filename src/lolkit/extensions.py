@@ -153,16 +153,20 @@ class EmbeddedRegression:
         return self.intercept + self.coef @ e.values
 
 
+def _regress_on_embedding(proj, x: DataMatrix, y) -> EmbeddedRegression:
+    """Ordinary least squares with intercept of y on the embedded x."""
+    e = embed(proj, x).values
+    design = np.vstack([np.ones(e.shape[1]), e]).T
+    beta, *_ = np.linalg.lstsq(design, np.asarray(y, dtype=np.float64), rcond=None)
+    return EmbeddedRegression(projection=proj, intercept=float(beta[0]), coef=beta[1:])
+
+
 def lol_regression(x: DataMatrix, y, num_bins=4, d=5, seed=0) -> EmbeddedRegression:
     """Quantile-partition the target, fit LOL on the induced classes,
     then ordinary least squares with intercept on the embedded data."""
     part = quantile_partition(y, num_bins)
     dataset = LabeledDataset(x, part.labels, part.num_classes)
-    proj = fit_projection("lol", dataset, d, seed=seed)
-    e = embed(proj, x).values
-    design = np.vstack([np.ones(e.shape[1]), e]).T
-    beta, *_ = np.linalg.lstsq(design, np.asarray(y, dtype=np.float64), rcond=None)
-    return EmbeddedRegression(projection=proj, intercept=float(beta[0]), coef=beta[1:])
+    return _regress_on_embedding(fit_projection("lol", dataset, d, seed=seed), x, y)
 
 
 def pls1_regression(x: DataMatrix, y, d) -> EmbeddedRegression:
@@ -172,11 +176,7 @@ def pls1_regression(x: DataMatrix, y, d) -> EmbeddedRegression:
     yv = np.asarray(y, dtype=np.float64)
     yc = yv - yv.mean()
     weights = _pls_weights(xv - xv.mean(axis=1, keepdims=True), yc[None, :], d)
-    proj = Projection(weights, method_tag="pls1")
-    e = proj.directions.T @ xv
-    design = np.vstack([np.ones(e.shape[1]), e]).T
-    beta, *_ = np.linalg.lstsq(design, yv, rcond=None)
-    return EmbeddedRegression(projection=proj, intercept=float(beta[0]), coef=beta[1:])
+    return _regress_on_embedding(Projection(weights, method_tag="pls1"), x, yv)
 
 
 def mean_squared_error(model: EmbeddedRegression, x: DataMatrix, y):

@@ -54,13 +54,13 @@ def resolve_svd_mode(k, p, n, mode):
     return mode
 
 
-def truncated_svd(values, k, mode="auto", seed=0, oversample=10, power_iters=2):
+def truncated_svd(values, k, mode="auto", seed=0, oversample=10):
     """Top-k singular triplets of a p x n matrix.
 
     mode is "exact", "randomized", or "auto" (exact when min(p, n) <=
     EXACT_SVD_MAX_DIM).  Randomized mode is a Halko range finder with
-    ``oversample`` extra columns and ``power_iters`` power iterations,
-    deterministic given ``seed``.
+    ``oversample`` extra columns and two power iterations, deterministic
+    given ``seed``.
     """
     m = np.asarray(values, dtype=np.float64)
     if not np.all(np.isfinite(m)):
@@ -80,7 +80,7 @@ def truncated_svd(values, k, mode="auto", seed=0, oversample=10, power_iters=2):
     omega = rng.standard_normal((n, ell))
     y = m @ omega
     q, _ = np.linalg.qr(y)
-    for _ in range(power_iters):
+    for _ in range(2):
         z, _ = np.linalg.qr(m.T @ q)
         q, _ = np.linalg.qr(m @ z)
     b = q.T @ m

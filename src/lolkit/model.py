@@ -106,10 +106,6 @@ class ClassStats:
     class_means: np.ndarray   # (p, C)
     pooled_mean: np.ndarray   # (p,)
 
-    @property
-    def num_classes(self):
-        return self.counts.shape[0]
-
 
 @dataclass(frozen=True)
 class Projection:
@@ -219,14 +215,18 @@ def jittered_cholesky(cov):
     return np.linalg.cholesky(cov + 1e-12 * np.trace(cov) / p * np.eye(p))
 
 
+def gaussian_noise(cov, z):
+    """Columns of covariance ``cov`` from standard normal columns ``z``:
+    sqrt(cov) * z for a diagonal vector, jittered_cholesky(cov) @ z for a matrix."""
+    return np.sqrt(cov)[:, None] * z if cov.ndim == 1 else jittered_cholesky(cov) @ z
+
+
 def class_stats(dataset: LabeledDataset) -> ClassStats:
     """MLE class statistics: counts, priors, class means, pooled mean."""
     x = dataset.data.values
     y = dataset.labels
     c = dataset.num_classes
     counts = np.bincount(y, minlength=c)
-    if np.any(counts == 0):
-        raise EmptyClass("every class must have at least one sample")
     priors = counts / dataset.n
     # one BLAS product instead of per-class fancy-indexed copies, which
     # matters when p*n approaches memory size

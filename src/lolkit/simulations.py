@@ -16,7 +16,7 @@ from scipy.linalg import toeplitz
 from .classifiers import bayes_error_monte_carlo, bayes_error_two_class
 from .errors import BadRho, PTooSmall, ShapeMismatch
 from .linalg import random_rotation
-from .model import DataMatrix, GaussianModel, LabeledDataset, jittered_cholesky
+from .model import DataMatrix, GaussianModel, LabeledDataset, gaussian_noise
 
 FAMILIES = (
     "stacked_cigars",
@@ -35,11 +35,11 @@ _DEFAULTS = {
     "trunk": {"b": 4.0},
     "rotated_trunk": {"b": 4.0, "rotation": None},
     "trunk3": {"b": 4.0},
-    "robust": {"b": 4.0, "pi_outlier": 0.3},
+    "robust": {"b": 4.0},
     "cross": {"a": 1.0, "b": 0.25},
     "toeplitz_diag": {"rho": 0.5, "frobenius": 50.0, "delta_scale": 1.0},
     "toeplitz_dense": {"rho": 0.5, "frobenius": 50.0, "delta_scale": 1.0},
-    "regression_linear": {"rho": 0.5, "frobenius": 50.0, "coef": (1.0, 1.0)},
+    "regression_linear": {"rho": 0.5, "frobenius": 50.0},
 }
 
 
@@ -56,6 +56,9 @@ class SimSpec:
             raise ShapeMismatch(f"unknown family {self.family!r}; choose from {FAMILIES}")
         if self.p < 1 or self.n < 1:
             raise ShapeMismatch("p and n must be positive")
+        unknown = sorted(set(self.params) - set(_DEFAULTS[self.family]))
+        if unknown:
+            raise ShapeMismatch(f"family {self.family!r} takes no option {', '.join(unknown)}")
         merged = dict(_DEFAULTS[self.family])
         merged.update(self.params)
         object.__setattr__(self, "params", merged)
@@ -85,12 +88,6 @@ def _trunk_means(p, b):
 
 def _trunk_diag(p):
     return 100.0 / np.sqrt(np.arange(p, 0, -1, dtype=np.float64))
-
-
-def _sample_shared_diag(means, diag, labels, rng):
-    p = means.shape[0]
-    z = rng.standard_normal((p, labels.shape[0]))
-    return means[:, labels] + np.sqrt(diag)[:, None] * z
 
 
 def _binary_labels(n, rng):
@@ -210,56 +207,43 @@ def sample(spec: SimSpec) -> SimSample | RegressionSample:
     prm = spec.params
 
     if spec.family == "regression_linear":
-        c = np.asarray(prm["coef"], dtype=np.float64)
-        if p < c.shape[0]:
-            raise PTooSmall(f"regression_linear needs p >= {c.shape[0]}, got p={p}")
+        if p < 2:
+            raise PTooSmall(f"regression_linear needs p >= 2, got p={p}")
         sigma = _toeplitz_sigma(p, prm["rho"], prm["frobenius"])
-        x = jittered_cholesky(sigma) @ rng.standard_normal((p, n))
+        x = gaussian_noise(sigma, rng.standard_normal((p, n)))
         coef = np.zeros(p)
-        coef[: c.shape[0]] = c
+        coef[:2] = 1.0
         targets = coef @ x
         return RegressionSample(DataMatrix(x), targets, coef, sigma)
 
     model = _build_model(spec, rng)
 
     if spec.family == "robust":
-        b = prm["b"]
-        diag_in = model.covariances[0]
-        diag_out = b**6 / np.sqrt(np.arange(1, p + 1, dtype=np.float64))
-        is_out = rng.random(n) < prm["pi_outlier"]
+        diag_out = prm["b"] ** 6 / np.sqrt(np.arange(1, p + 1, dtype=np.float64))
+        is_out = rng.random(n) < 0.3  # outlier fraction
         y = _binary_labels(n, rng)
         z = rng.standard_normal((p, n))
         x = np.empty((p, n))
         inl = ~is_out
-        x[:, inl] = model.means[:, y[inl]] + np.sqrt(diag_in)[:, None] * z[:, inl]
-        x[:, is_out] = np.sqrt(diag_out)[:, None] * z[:, is_out]
+        x[:, inl] = model.means[:, y[inl]] + gaussian_noise(model.covariances[0], z[:, inl])
+        x[:, is_out] = gaussian_noise(diag_out, z[:, is_out])
         full = LabeledDataset(DataMatrix(x), y, 2)
         inliers = LabeledDataset(DataMatrix(x[:, inl]), y[inl], 2)
         return SimSample(full, model, inliers=inliers)
 
-    if spec.family == "trunk3":
-        y = rng.integers(0, 3, n)
-        x = _sample_shared_diag(model.means, model.covariances[0], y, rng)
-        return SimSample(LabeledDataset(DataMatrix(x), y, 3), model)
-
-    y = _binary_labels(n, rng)
+    c = model.num_classes
+    y = rng.integers(0, 3, n) if c == 3 else _binary_labels(n, rng)
+    z = rng.standard_normal((p, n))
     if model.shared:
-        cov = model.covariances[0]
-        if cov.ndim == 1:
-            x = _sample_shared_diag(model.means, cov, y, rng)
-        else:
-            x = model.means[:, y] + jittered_cholesky(cov) @ rng.standard_normal((p, n))
+        x = model.means[:, y] + gaussian_noise(model.covariances[0], z)
     else:
-        z = rng.standard_normal((p, n))
+        # one product per class, over that class's columns of z: the same
+        # columns of a product over all of z can differ in the last bits
         x = np.empty((p, n))
-        for c in range(2):
-            mask = y == c
-            cc = model.covariance_of(c)
-            if cc.ndim == 1:
-                x[:, mask] = model.means[:, c, None] + np.sqrt(cc)[:, None] * z[:, mask]
-            else:
-                x[:, mask] = model.means[:, c, None] + jittered_cholesky(cc) @ z[:, mask]
-    return SimSample(LabeledDataset(DataMatrix(x), y, 2), model)
+        for j in range(c):
+            mask = y == j
+            x[:, mask] = model.means[:, j, None] + gaussian_noise(model.covariances[j], z[:, mask])
+    return SimSample(LabeledDataset(DataMatrix(x), y, c), model)
 
 
 def bayes_error_of(spec: SimSpec, n_mc=200_000, mc_seed=0):

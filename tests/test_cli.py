@@ -8,9 +8,10 @@ import pytest
 
 from lolkit import benchmark
 from lolkit.benchmark import ALGORITHMS
-from lolkit.cli import _atomic_write, _parse_sweep, _samples_csv, build_parser, main
+from lolkit.cli import _parse_sweep, _samples_csv, build_parser, main
 from lolkit.embeddings import save_projection
 from lolkit.errors import ParseFailure
+from lolkit.files import _atomic_write
 from lolkit.model import Projection
 
 
@@ -330,8 +331,13 @@ def test_percent_template_writes_what_per_value_format_wrote(tmp_path):
     # bench checks its tags before it reads the CSV, which need not exist
     (["bench", "--input", "no-such.csv", "--algs", "lol,lol", "--output-dir", "no-such"],
      "ShapeMismatch"),
+    # an option the family does not take; sim checks before it writes anything
+    (["sim", "--family", "trunk", "--p", "5", "--n", "20", "--a", "7", "--rho", "0.2",
+      "--output-dir", "no-such"], "ShapeMismatch"),
+    (["test", "--family", "trunk", "--p", "4", "--rho", "0.3"], "ShapeMismatch"),
 ])
-def test_argument_ranges_are_structured_errors(capsys, argv, error):
+def test_argument_ranges_are_structured_errors(capsys, monkeypatch, tmp_path, argv, error):
+    monkeypatch.chdir(tmp_path)  # where a command that wrongly succeeds writes
     assert run(argv) == 2
     captured = capsys.readouterr()
     assert json.loads(captured.err)["error"] == error
@@ -375,6 +381,6 @@ def test_written_files_get_the_mode_open_gives(tmp_path, umask, mode):
     assert [p.relative_to(tmp_path).as_posix() for p in files] == [
         "bench/curves.csv", "bench/report.json", "emb.csv", "proj.txt", "scale.csv",
         "sim/dataset.csv", "sim/model.json"]
-    # proj.txt comes from save_projection's plain open()
+    # proj.txt comes from save_projection, the rest from the CLI's writers
     assert {p.name: stat.S_IMODE(p.stat().st_mode) for p in files} == \
         dict.fromkeys((p.name for p in files), mode)

@@ -1,6 +1,12 @@
+import errno
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import lolkit
 from lolkit.embeddings import (
     embed,
     fit_lfl,
@@ -384,3 +390,34 @@ def test_save_projection_rejects_tags_the_format_cannot_hold(tmp_path, tag):
     with pytest.raises(ShapeMismatch, match="method tag"):
         save_projection(Projection(np.ones((2, 1)), tag), path)
     assert not path.exists()
+
+
+# a fresh interpreter whose files cannot grow past 10 bytes, so a write
+# fails part-way as it would on a full disk
+_FAILING_SAVE = """
+import resource, signal, sys
+import numpy as np
+from lolkit.embeddings import save_projection
+from lolkit.model import Projection
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+resource.setrlimit(resource.RLIMIT_FSIZE, (10, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))
+try:
+    save_projection(Projection(np.full((3, 2), 0.5), "pca"), sys.argv[1])
+except OSError as exc:
+    print(exc.errno)
+"""
+
+
+def test_a_failing_projection_write_keeps_the_previous_file(tmp_path):
+    # save_projection used to truncate its target first, which then held
+    # only the bytes written before the failure
+    path = tmp_path / "proj.txt"
+    save_projection(Projection(np.ones((3, 2)), "lol"), path)
+    before = path.read_bytes()
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lolkit.__file__)))
+    out = subprocess.run([sys.executable, "-c", _FAILING_SAVE, str(path)],
+                         env=dict(os.environ, PYTHONPATH=src),
+                         check=True, capture_output=True, text=True).stdout
+    assert out.split() == [str(errno.EFBIG)]
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]

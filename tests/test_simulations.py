@@ -20,6 +20,19 @@ def test_spec_validation():
     assert spec.params["b"] == 2.0
 
 
+@pytest.mark.parametrize("family, params, unknown", [
+    ("trunk", {"a": 7.0, "rho": 0.2}, "a, rho"),
+    ("trunk", {"b": 2.0, "rho": 0.3}, "rho"),
+    ("robust", {"pi_outlier": 0.1}, "pi_outlier"),
+    ("regression_linear", {"coef": (2.0, 1.0)}, "coef"),
+    ("toeplitz_diag", {"a": 1.0}, "a"),
+])
+def test_spec_refuses_options_its_family_does_not_take(family, params, unknown):
+    # they used to be merged into the defaults and then ignored
+    with pytest.raises(ShapeMismatch, match=f"takes no option {unknown}$"):
+        SimSpec(family, 5, 10, params=params)
+
+
 def test_trunk_exact_parameters():
     model = population_model(SimSpec("trunk", 4, 10))
     mu0 = model.means[:, 0]
