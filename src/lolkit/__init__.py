@@ -26,8 +26,10 @@ from .embeddings import (
     save_projection,
 )
 from .classifiers import (
+    ClassMoments,
     bayes_error_monte_carlo,
     bayes_error_two_class,
+    class_moments,
     fit_lda,
     fit_qda,
     misclassification_rate,

@@ -23,7 +23,14 @@ from itertools import product
 import numpy as np
 
 from . import embeddings as emb
-from .classifiers import fit_lda, fit_qda, misclassification_rate, predict_lda, predict_qda
+from .classifiers import (
+    class_moments,
+    fit_lda,
+    fit_qda,
+    misclassification_rate,
+    predict_lda,
+    predict_qda,
+)
 from .errors import (
     DegenerateLabels,
     EmptyCurve,
@@ -506,13 +513,15 @@ def sweep(dataset: LabeledDataset, algorithms, d_max, plan: FoldPlan, classifier
 
     Each (fold, algorithm) fit embeds the training and the test fold once
     at its full width, and the cell for r takes the leading r rows of both
-    embeddings: the fits nest, so those rows are the r-dim embeddings.  A
-    failed full-width embedding marks the fold's cells missing, as a
-    failed fit does.  The r = 1 cell alone embeds through ``prefix(1)``:
-    numpy computes a one-row product by a matrix-vector path whose last
-    bits differ from row 0 of the full product, and the 1-dim cca
-    embedding, with almost no within-class variance when n <= p, changes
-    its predictions on those bits.
+    embeddings: the fits nest, so those rows are the r-dim embeddings.  The
+    training embedding's class moments are computed once, and the cell for
+    r fits its classifier from their leading r rows.  A failed full-width
+    embedding marks the fold's cells missing, as a failed fit does.  The
+    r = 1 cell alone embeds through ``prefix(1)`` and computes its own
+    moments: numpy computes a one-row product by a matrix-vector path
+    whose last bits differ from row 0 of the full product, and the 1-dim
+    cca embedding, with almost no within-class variance when n <= p,
+    changes its predictions on those bits.
 
     Each fold's projection fits and per-r cells (embed, classifier fit,
     predict) run with BLAS at one thread: their SVDs and d x d solves are
@@ -550,8 +559,8 @@ def sweep(dataset: LabeledDataset, algorithms, d_max, plan: FoldPlan, classifier
                     continue
             with _one_blas_thread(blas):
                 try:
-                    z_train = emb.embed(proj, train_ds.data).values
-                    z_test = emb.embed(proj, test).values
+                    moments = class_moments(emb.embed(proj, train_ds.data), train_ds.labels, c)
+                    z_test = emb.embed(proj, test)
                 except _CELL_ERRORS:
                     continue
                 for r in range(1, proj.d + 1):
@@ -559,9 +568,10 @@ def sweep(dataset: LabeledDataset, algorithms, d_max, plan: FoldPlan, classifier
                         if r == 1:
                             pre = proj.prefix(1)
                             e_train, e_test = emb.embed(pre, train_ds.data), emb.embed(pre, test)
+                            m_train = class_moments(e_train, train_ds.labels, c)
                         else:
-                            e_train, e_test = DataMatrix(z_train[:r]), DataMatrix(z_test[:r])
-                        clf = fit_cls(e_train, train_ds.labels, c)
+                            m_train, e_test = moments.prefix(r), z_test.leading_rows(r)
+                        clf = fit_cls(m_train)
                         pred = predict(clf, e_test)
                         tag_rates[j, r - 1] = misclassification_rate(pred, y[te])
                     except _CELL_ERRORS:

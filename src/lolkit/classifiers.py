@@ -13,10 +13,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg as sla
+from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.special import ndtr
 
-from .errors import ShapeMismatch, SingularProjectedCov, UnderdeterminedClassifier
+from .errors import (
+    NonFiniteData,
+    ShapeMismatch,
+    SingularProjectedCov,
+    UnderdeterminedClassifier,
+)
 from .model import DataMatrix, GaussianModel, as_matrix, cov_as_dense, gaussian_noise
 
 RIDGE_REL = 1e-8
@@ -28,7 +33,8 @@ def _ridge(cov):
     # zero-variance data (e.g. singleton classes) still needs an invertible
     # covariance; fall back to an absolute floor
     lam = RIDGE_REL * (trace / d if trace > 0 else 1.0)
-    return cov + lam * np.eye(d)
+    # np.diag, not lam * np.eye(d): an infinite lam must not make 0 * inf
+    return cov + np.diag(np.full(d, lam))
 
 
 @dataclass(frozen=True)
@@ -44,9 +50,29 @@ class GaussianClassifier:
     _logdets: np.ndarray
 
 
+def _cholesky(cov):
+    """Lower Cholesky factor of ``cov``, its upper triangle left as it was:
+    LAPACK's dpotrf with cho_factor(cov, lower=True)'s flags and bits,
+    without scipy's wrappers.  A NaN or infinite entry raises
+    NonFiniteData (dpotrf would factor [[inf]]); a matrix that is not
+    positive definite raises np.linalg.LinAlgError."""
+    if not np.isfinite(cov).all():
+        raise NonFiniteData("covariance contains NaN or Inf entries")
+    chol, info = dpotrf(cov, lower=1, clean=0)
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"{info}-th leading minor of the array is not positive definite")
+    return chol
+
+
+def _solve(chol, b):
+    """cho_solve((chol, True), b) through LAPACK's dpotrs, without scipy's wrappers."""
+    return dpotrs(chol, b, lower=1)[0]
+
+
 def _factor(cov):
-    chol = sla.cho_factor(cov, lower=True)
-    return chol, 2.0 * np.sum(np.log(np.diag(chol[0])))
+    chol = _cholesky(cov)
+    return chol, 2.0 * np.sum(np.log(np.diag(chol)))
 
 
 def _discriminant(x, means, chols, logdets, priors):
@@ -55,24 +81,52 @@ def _discriminant(x, means, chols, logdets, priors):
     scores = np.empty((priors.shape[0], x.shape[1]))
     for j in range(priors.shape[0]):
         diff = x - means[:, j : j + 1]
-        maha = np.einsum("ij,ij->j", diff, sla.cho_solve(chols[j], diff))
+        maha = np.einsum("ij,ij->j", diff, _solve(chols[j], diff))
         scores[j] = -0.5 * (maha + logdets[j]) + np.log(priors[j])
     return np.argmax(scores, axis=0)
 
 
-def _class_moments(embedded: DataMatrix, labels, num_classes):
-    """(x, labels, counts, priors, means) of a training set, d <= n checked."""
+@dataclass(frozen=True)
+class ClassMoments:
+    """Class statistics of d x n training rows: what LDA and QDA fit from."""
+
+    counts: np.ndarray       # (C,)
+    priors: np.ndarray       # (C,)
+    means: np.ndarray        # (d, C)
+    centered: np.ndarray     # (d, n), x - means[:, labels]
+    blocks: tuple            # centered[:, labels == j] for each class j
+
+    def prefix(self, r) -> "ClassMoments":
+        """The moments of the leading r rows, as views.  Means and centering
+        act on each row alone, so for r >= 2 they are bit for bit those of
+        x[:r]; numpy reduces a one-row matrix by another path, and the
+        means of x[:1] can differ in the last bits."""
+        if not 1 <= r <= self.means.shape[0]:
+            raise ShapeMismatch(f"prefix r={r} outside 1..{self.means.shape[0]}")
+        return ClassMoments(self.counts, self.priors, self.means[:r], self.centered[:r],
+                            tuple(b[:r] for b in self.blocks))
+
+
+def class_moments(embedded: DataMatrix, labels, num_classes=None) -> ClassMoments:
+    """The ClassMoments of a training set; C is ``num_classes`` or the
+    largest label plus one."""
     x = embedded.values
-    d, n = x.shape
-    if d > n:
-        raise UnderdeterminedClassifier(f"d={d} exceeds n={n}")
     labels = np.asarray(labels, dtype=np.int64)
     c = num_classes or int(labels.max()) + 1
     counts = np.bincount(labels, minlength=c)
-    means = np.empty((d, c))
-    for j in range(c):
-        means[:, j] = x[:, labels == j].mean(axis=1)
-    return x, labels, counts, counts / n, means
+    masks = [labels == j for j in range(c)]
+    means = np.empty((x.shape[0], c))
+    for j, mask in enumerate(masks):
+        means[:, j] = x[:, mask].mean(axis=1)
+    centered = x - means[:, labels]
+    return ClassMoments(counts, counts / x.shape[1], means, centered,
+                        tuple(centered[:, mask] for mask in masks))
+
+
+def _check_determined(moments: ClassMoments):
+    d, n = moments.centered.shape
+    if d > n:
+        raise UnderdeterminedClassifier(f"d={d} exceeds n={n}")
 
 
 def _predict(clf: GaussianClassifier, embedded: DataMatrix):
@@ -83,31 +137,31 @@ def _predict(clf: GaussianClassifier, embedded: DataMatrix):
     return _discriminant(x, clf.means, clf._chols, clf._logdets, clf.priors)
 
 
-# LDA and QDA keep their own entry points: profilers tell them apart by function
+# LDA and QDA keep their own entry points: profilers tell them apart by function.
+# Each fit takes one r x r product of its own rows, never a block of a wider
+# scatter: that block can differ from the product in the last bits.
 
-def fit_lda(embedded: DataMatrix, labels, num_classes=None) -> GaussianClassifier:
+def fit_lda(moments: ClassMoments) -> GaussianClassifier:
     """LDA: one pooled within-class covariance."""
-    x, labels, _, priors, means = _class_moments(embedded, labels, num_classes)
-    centered = x - means[:, labels]
-    cov = _ridge(centered @ centered.T / x.shape[1])
-    chol = sla.cho_factor(cov, lower=True)
-    c = means.shape[1]
-    return GaussianClassifier(priors, means, (cov,) * c, (chol,) * c, np.zeros(c))
+    _check_determined(moments)
+    centered = moments.centered
+    cov = _ridge(centered @ centered.T / centered.shape[1])
+    chol = _cholesky(cov)
+    c = moments.means.shape[1]
+    return GaussianClassifier(moments.priors, moments.means, (cov,) * c, (chol,) * c,
+                              np.zeros(c))
 
 
 def predict_lda(clf: GaussianClassifier, embedded: DataMatrix):
     return _predict(clf, embedded)
 
 
-def fit_qda(embedded: DataMatrix, labels, num_classes=None) -> GaussianClassifier:
+def fit_qda(moments: ClassMoments) -> GaussianClassifier:
     """QDA: one covariance per class."""
-    x, labels, counts, priors, means = _class_moments(embedded, labels, num_classes)
-    covs = []
-    for j in range(means.shape[1]):
-        xc = x[:, labels == j] - means[:, j : j + 1]
-        covs.append(_ridge(xc @ xc.T / counts[j]))
+    _check_determined(moments)
+    covs = tuple(_ridge(xc @ xc.T / k) for xc, k in zip(moments.blocks, moments.counts))
     chols, logdets = zip(*map(_factor, covs))
-    return GaussianClassifier(priors, means, tuple(covs), chols, np.array(logdets))
+    return GaussianClassifier(moments.priors, moments.means, covs, chols, np.array(logdets))
 
 
 def predict_qda(clf: GaussianClassifier, embedded: DataMatrix):
@@ -146,10 +200,10 @@ def bayes_error_two_class(model: GaussianModel, proj=None):
         quad = float(np.sum(delta * delta / cov))
     else:
         try:
-            chol = sla.cho_factor(cov, lower=True)
-        except np.linalg.LinAlgError as exc:  # scipy's LinAlgError is this class
+            chol = _cholesky(cov)
+        except np.linalg.LinAlgError as exc:
             raise SingularProjectedCov(str(exc)) from exc
-        quad = float(delta @ sla.cho_solve(chol, delta))
+        quad = float(delta @ _solve(chol, delta))
     return float(ndtr(-0.5 * np.sqrt(quad)))
 
 

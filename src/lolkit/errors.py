@@ -86,6 +86,10 @@ class ParseFailure(LolkitError):
     pass
 
 
+class WriteFailure(LolkitError):
+    pass
+
+
 class DegenerateLabels(LolkitError):
     pass
 

@@ -21,6 +21,7 @@ from lolkit.chernoff import (
 from lolkit.classifiers import (
     _sample_class,
     bayes_error_two_class,
+    class_moments,
     fit_lda,
     fit_qda,
     misclassification_rate,
@@ -67,7 +68,7 @@ def split_sample(spec, n_train):
 
 def projected_lda_error(fitter, train, test_x, test_y, d):
     proj = fitter(train, d)
-    clf = fit_lda(embed(proj, train.data), train.labels, train.num_classes)
+    clf = fit_lda(class_moments(embed(proj, train.data), train.labels, train.num_classes))
     pred = predict_lda(clf, embed(proj, test_x))
     return misclassification_rate(pred, test_y)
 
@@ -187,8 +188,8 @@ def test_criterion_07_lda_rotation_invariance():
     y = np.tile([0, 1], 250)
     t = rng.standard_normal((5, 1000))
     q = random_rotation(5, seed=7)
-    base = predict_lda(fit_lda(DataMatrix(x), y, 2), DataMatrix(t))
-    rotated = predict_lda(fit_lda(DataMatrix(q @ x), y, 2), DataMatrix(q @ t))
+    base = predict_lda(fit_lda(class_moments(DataMatrix(x), y, 2)), DataMatrix(t))
+    rotated = predict_lda(fit_lda(class_moments(DataMatrix(q @ x), y, 2)), DataMatrix(q @ t))
     ok = np.array_equal(base, rotated)
     assert report(7, ok, "identical predictions on 1000 points after rotation")
 
@@ -208,7 +209,7 @@ def test_criterion_08_robust_and_cross_orderings():
         sim = sample(SimSpec("robust", 100, 100, seed=seed))
         for fitter, out in ((fit_lol, lol_rob), (fit_rlol, rlol_rob)):
             proj = fitter(sim.dataset, 5)
-            clf = fit_lda(embed(proj, sim.inliers.data), sim.inliers.labels, 2)
+            clf = fit_lda(class_moments(embed(proj, sim.inliers.data), sim.inliers.labels, 2))
             out.append(fresh_inlier_error(proj, clf, predict_lda,
                                           sim.model, seed))
     robust_margin = float(np.mean(lol_rob) - np.mean(rlol_rob))
@@ -219,7 +220,7 @@ def test_criterion_08_robust_and_cross_orderings():
             SimSpec("cross", 100, 1100, seed=seed), 100)
         lol_cross.append(projected_lda_error(fit_lol, train, test_x, test_y, 10))
         proj = fit_qoq(train, 10)
-        clf = fit_qda(embed(proj, train.data), train.labels, 2)
+        clf = fit_qda(class_moments(embed(proj, train.data), train.labels, 2))
         pred = predict_qda(clf, embed(proj, test_x))
         qoq_cross.append(misclassification_rate(pred, test_y))
     cross_margin = float(np.mean(lol_cross) - np.mean(qoq_cross))
@@ -250,7 +251,7 @@ def test_criterion_09_lfl_tracks_lol_spherical():
             proj = fitter(train, max(dims), seed=seed)
             for d in dims:
                 sub = proj.prefix(d)
-                clf = fit_lda(embed(sub, train.data), y, 2)
+                clf = fit_lda(class_moments(embed(sub, train.data), y, 2))
                 pred = predict_lda(clf, embed(sub, test_x))
                 errs[alg][d].append(misclassification_rate(pred, y))
     gap = max(abs(float(np.mean(errs["lfl"][d])) -

@@ -218,7 +218,7 @@ def test_sweep_prefix_reuse_matches_per_r_refits():
     ds = trunk_dataset(p=15, n=80, seed=3)
     plan = make_fold_plan(ds.n, ds.p, 2, 3, ds.labels, seed=3)
     curves = sweep(ds, ["lol"], 5, plan)
-    from lolkit.classifiers import fit_lda, misclassification_rate, predict_lda
+    from lolkit.classifiers import class_moments, fit_lda, misclassification_rate, predict_lda
     from lolkit.embeddings import embed
     for j in range(plan.k):
         tr = plan.train_subsets[j]
@@ -226,7 +226,7 @@ def test_sweep_prefix_reuse_matches_per_r_refits():
         train = LabeledDataset(DataMatrix(ds.data.values[:, tr]), ds.labels[tr], 2)
         for r in (1, 3, 5):
             proj = fit_projection("lol", train, r, "auto", plan.seed)
-            clf = fit_lda(embed(proj, train.data), train.labels, 2)
+            clf = fit_lda(class_moments(embed(proj, train.data), train.labels, 2))
             pred = predict_lda(clf, embed(proj, DataMatrix(ds.data.values[:, te])))
             rate = misclassification_rate(pred, ds.labels[te])
             assert abs(rate - curves[0].rates[j, r - 1]) < 1e-12
@@ -274,10 +274,10 @@ def test_sweep_records_linalg_failures_as_missing_cells(monkeypatch):
     baseline = sweep(ds, ["lol", "pca"], 5, plan)
     real_fit_lda = benchmark.fit_lda
 
-    def fit_lda_failing_at_r3(embedded, labels, num_classes=None):
-        if embedded.p == 3:
+    def fit_lda_failing_at_r3(moments):
+        if moments.means.shape[0] == 3:
             raise np.linalg.LinAlgError("leading minor not positive definite")
-        return real_fit_lda(embedded, labels, num_classes)
+        return real_fit_lda(moments)
 
     monkeypatch.setattr(benchmark, "fit_lda", fit_lda_failing_at_r3)
     curves = sweep(ds, ["lol", "pca"], 5, plan)
@@ -294,6 +294,17 @@ def test_sweep_records_linalg_failures_as_missing_cells(monkeypatch):
     lol, pca = sweep(ds, ["lol", "pca"], 5, plan)
     assert np.all(np.isnan(pca.rates))
     assert np.isfinite(lol.rates[:, 0]).all()
+
+
+# numpy warns when the scatter overflows, before lolkit sees the inf
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_sweep_records_an_overflowing_covariance_as_missing_cells():
+    ds = trunk_dataset(p=6, n=40, seed=3)
+    big = LabeledDataset(DataMatrix(ds.data.values * 1e160), ds.labels, 2)
+    plan = make_fold_plan(big.n, big.p, 2, 2, big.labels, seed=3)
+    for classifier in ("lda", "qda"):
+        (pca,) = sweep(big, ["pca"], 3, plan, classifier=classifier)
+        assert np.all(np.isnan(pca.rates)), classifier
 
 
 def test_normalized_report_identical_to_lol_is_zero():

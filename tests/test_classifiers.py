@@ -1,17 +1,21 @@
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 from scipy.stats import norm
 
 from lolkit.classifiers import (
+    _cholesky,
+    _solve,
     bayes_error_monte_carlo,
     bayes_error_two_class,
+    class_moments,
     fit_lda,
     fit_qda,
     misclassification_rate,
     predict_lda,
     predict_qda,
 )
-from lolkit.errors import ShapeMismatch, UnderdeterminedClassifier
+from lolkit.errors import NonFiniteData, ShapeMismatch, UnderdeterminedClassifier
 from lolkit.linalg import random_rotation
 from lolkit.model import DataMatrix, GaussianModel
 
@@ -19,7 +23,7 @@ from lolkit.model import DataMatrix, GaussianModel
 def test_lda_1d_threshold_at_zero():
     x = DataMatrix(np.array([[-1.0, -1.2, -0.8, 1.0, 1.2, 0.8]]))
     y = np.array([0, 0, 0, 1, 1, 1])
-    clf = fit_lda(x, y)
+    clf = fit_lda(class_moments(x, y))
     eps = 1e-6
     assert predict_lda(clf, DataMatrix(np.array([[-eps]])))[0] == 0
     assert predict_lda(clf, DataMatrix(np.array([[eps]])))[0] == 1
@@ -31,7 +35,7 @@ def test_lda_nearest_mean_under_isotropy():
     y = np.array([0, 1] * (n // 2))
     means = np.array([[0.0, 3.0], [0.0, 0.0]])
     x = means[:, y] + rng.standard_normal((2, n))
-    clf = fit_lda(DataMatrix(x), y)
+    clf = fit_lda(class_moments(DataMatrix(x), y))
     test = np.array([[0.2, 2.8], [0.5, -0.5]])
     pred = predict_lda(clf, DataMatrix(test))
     m0 = clf.means[:, 0]
@@ -46,7 +50,7 @@ def test_lda_matches_hand_computed_discriminant():
     x = np.array([[0.0, 1.0, 2.0, 4.0, 5.0, 6.0],
                   [1.0, 0.0, -1.0, 1.0, 0.0, -1.0]])
     y = np.array([0, 0, 0, 1, 1, 1])
-    clf = fit_lda(DataMatrix(x), y)
+    clf = fit_lda(class_moments(DataMatrix(x), y))
     n = 6
     means = np.column_stack([x[:, :3].mean(axis=1), x[:, 3:].mean(axis=1)])
     centered = x - means[:, y]
@@ -63,7 +67,7 @@ def test_lda_matches_hand_computed_discriminant():
 
 def test_lda_underdetermined_error():
     with pytest.raises(UnderdeterminedClassifier):
-        fit_lda(DataMatrix(np.zeros((5, 3))), np.array([0, 1, 1]))
+        fit_lda(class_moments(DataMatrix(np.zeros((5, 3))), np.array([0, 1, 1])))
 
 
 def test_qda_agrees_with_density_oracle():
@@ -72,7 +76,7 @@ def test_qda_agrees_with_density_oracle():
     y = np.array([0, 1] * (n // 2))
     x = rng.standard_normal((3, n))
     x[:, y == 1] *= 2.5
-    clf = fit_qda(DataMatrix(x), y)
+    clf = fit_qda(class_moments(DataMatrix(x), y))
     test = rng.standard_normal((3, 25)) * 1.5
     pred = predict_qda(clf, DataMatrix(test))
     scores = np.empty((2, 25))
@@ -90,16 +94,16 @@ def test_predict_ties_and_priors():
     # symmetric midpoint with unequal priors goes to the higher-prior class
     x = DataMatrix(np.array([[-1.0, -1.0, -1.0, 1.0]]))
     y = np.array([0, 0, 0, 1])
-    clf = fit_lda(x, y)
+    clf = fit_lda(class_moments(x, y))
     assert predict_lda(clf, DataMatrix(np.array([[0.0]])))[0] == 0
     # exact ties resolve to the lowest class index
     x = DataMatrix(np.array([[-1.0, 1.0]]))
-    clf = fit_lda(x, np.array([0, 1]))
+    clf = fit_lda(class_moments(x, np.array([0, 1])))
     assert predict_lda(clf, DataMatrix(np.array([[0.0]])))[0] == 0
 
 
 def test_predict_shape_mismatch():
-    clf = fit_lda(DataMatrix(np.array([[-1.0, 1.0]])), np.array([0, 1]))
+    clf = fit_lda(class_moments(DataMatrix(np.array([[-1.0, 1.0]])), np.array([0, 1])))
     with pytest.raises(ShapeMismatch):
         predict_lda(clf, DataMatrix(np.zeros((2, 3))))
 
@@ -144,6 +148,35 @@ def test_bayes_error_diagonal_and_projection_paths_agree():
     assert abs(bayes_error_two_class(md, a) - bayes_error_two_class(dd, a)) < 1e-12
 
 
+def test_cholesky_refuses_a_non_finite_covariance():
+    # dpotrf alone factors both without complaint
+    for cov in ([[np.inf]], [[np.inf, 1.0], [1.0, 2.0]], [[1.0, np.nan], [np.nan, 1.0]]):
+        with pytest.raises(NonFiniteData):
+            _cholesky(np.array(cov))
+    with pytest.raises(np.linalg.LinAlgError, match="2-th leading minor"):
+        _cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+
+def test_cholesky_and_solve_are_cho_factor_and_cho_solve_bit_for_bit():
+    rng = np.random.default_rng(4)
+    for d in (1, 2, 7, 30):
+        g = rng.standard_normal((d, 3 * d))
+        cov = g @ g.T / (3 * d)
+        b = rng.standard_normal((d, 11))
+        chol = _cholesky(cov)
+        want = cho_factor(cov, lower=True)
+        assert np.array_equal(chol, want[0])
+        assert np.array_equal(_solve(chol, b), cho_solve(want, b))
+        assert np.array_equal(_solve(chol, b[:, 0]), cho_solve(want, b[:, 0]))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_bayes_error_of_an_overflowing_projected_covariance_is_a_lolkit_error():
+    m = _model([1.0, 0.0], np.diag([1e300, 1.0]))
+    with pytest.raises(NonFiniteData):
+        bayes_error_two_class(m, np.array([[1e10], [0.0]]))
+
+
 def test_bayes_error_monte_carlo_matches_closed_form():
     delta = np.array([1.5, 0.5, 0.0, -1.0])
     cov = np.diag([1.0, 2.0, 3.0, 0.5])
@@ -168,8 +201,8 @@ def test_lda_rotation_invariance():
     x[0] += 1.5 * y
     q = random_rotation(p, 17)
     test = rng.standard_normal((p, 1000))
-    base = predict_lda(fit_lda(DataMatrix(x), y), DataMatrix(test))
-    rot = predict_lda(fit_lda(DataMatrix(q @ x), y), DataMatrix(q @ test))
+    base = predict_lda(fit_lda(class_moments(DataMatrix(x), y)), DataMatrix(test))
+    rot = predict_lda(fit_lda(class_moments(DataMatrix(q @ x), y)), DataMatrix(q @ test))
     assert np.array_equal(base, rot)
 
 

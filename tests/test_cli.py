@@ -219,6 +219,38 @@ def test_missing_input_files_are_structured_errors(tmp_path, capsys):
     assert not (tmp_path / "e.csv").exists()
 
 
+def test_an_output_in_a_missing_directory_is_a_structured_error(tmp_path, capsys):
+    out = tmp_path / "sim"
+    run(["sim", "--family", "trunk", "--p", "10", "--n", "40", "--output-dir", str(out)])
+    data, proj = str(out / "dataset.csv"), str(tmp_path / "proj.txt")
+    assert run(["fit", "--input", data, "--alg", "lol", "--d", "2", "--output", proj]) == 0
+    missing = tmp_path / "missing-dir"
+    for argv in (["fit", "--input", data, "--alg", "lol", "--d", "2"],
+                 ["embed", "--input", data, "--projection", proj],
+                 ["scale", "--p-sweep", "20:20:x2", "--n", "20", "--d", "2"]):
+        target = str(missing / f"{argv[0]}.out")
+        assert run(argv + ["--output", target]) == 2, argv
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "WriteFailure"
+        assert target in err["message"] and ".lolkit-tmp-" not in err["message"]
+    assert not missing.exists()
+
+
+# values near 1e160 square to inf, so every cell's covariance overflows;
+# numpy warns on the overflow before lolkit sees it
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_bench_with_overflowing_covariances_is_a_structured_error(tmp_path, capsys):
+    rng = np.random.default_rng(0)
+    y = np.arange(40) % 2
+    x = (rng.standard_normal((6, 40)) + y) * 1e160
+    data = tmp_path / "big.csv"
+    data.write_text("".join(_samples_csv("x", x, "label", map(str, y.tolist()))))
+    code = run(["bench", "--input", str(data), "--algs", "lol,pca", "--k", "2",
+                "--d-max", "3", "--output-dir", str(tmp_path / "bench")])
+    assert code == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "EmptyCurve"
+
+
 @pytest.mark.parametrize("d_max", ["-3", "0"])
 def test_bench_rejects_d_max_below_one(tmp_path, capsys, d_max):
     sim_dir = tmp_path / "sim"

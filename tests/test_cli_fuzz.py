@@ -4,7 +4,8 @@ Every argument vector runs to exit 0, or to exit 2 with a one-line JSON
 error on stderr; none may raise.  Integer options are drawn from
 {-1, 0, 1, 2} and float options from {-1, 0, 0.5, 1, 2, nan, inf, -inf},
 and the inputs are a tiny CSV fixture, so no draw can ask for a large
-allocation or a long run.
+allocation or a long run.  A file output may be drawn in a directory that
+does not exist.
 """
 
 import contextlib
@@ -52,6 +53,7 @@ def _family_options(draw):
 def argv_for(draw, files):
     """One argument vector for one subcommand, on the paths in ``files``."""
     out = files["out"]
+    output_dir = draw(st.sampled_from([out, files["missing"]]))  # for --output files
     label = _maybe(draw, "--label-column", st.sampled_from(["label", "0", "4", "-1", "nope"]))
     sub = draw(st.sampled_from(
         ["sim", "fit", "embed", "bench", "chernoff", "test", "regress", "scale"]))
@@ -62,11 +64,11 @@ def argv_for(draw, files):
         return (["fit", "--input", files["csv"], "--alg", draw(st.sampled_from(ALGORITHMS))]
                 + _option(draw, "--d", INTS) + _option(draw, "--seed", INTS) + label
                 + _maybe(draw, "--svd-mode", st.sampled_from(["auto", "exact", "randomized"]))
-                + ["--output", f"{out}/proj.txt"])
+                + ["--output", f"{output_dir}/proj.txt"])
     if sub == "embed":
         projection = draw(st.sampled_from([files["proj"], files["other_proj"]]))
         return (["embed", "--input", files["csv"], "--projection", projection] + label
-                + ["--output", f"{out}/emb.csv"])
+                + ["--output", f"{output_dir}/emb.csv"])
     if sub == "bench":
         return (["bench", "--input", files["csv"], "--algs", _algorithms(draw)]
                 + _option(draw, "--k", INTS) + _option(draw, "--d-max", INTS)
@@ -89,13 +91,14 @@ def argv_for(draw, files):
     sweep = draw(st.sampled_from(["1:2:x2", "2:2:x2", "2:4:x2", "2:3:x1.5"]))
     return (["scale", "--p-sweep", sweep] + _option(draw, "--n", INTS)
             + _option(draw, "--d", INTS) + _option(draw, "--repeats", INTS)
-            + _option(draw, "--seed", INTS) + ["--output", f"{out}/scale.csv"])
+            + _option(draw, "--seed", INTS) + ["--output", f"{output_dir}/scale.csv"])
 
 
 @pytest.fixture(scope="module")
 def files(tmp_path_factory):
     """The fixture CSV (trunk, p=4, n=12), a projection fitted on it, a
-    p=3 projection that does not fit it, and an output directory."""
+    p=3 projection that does not fit it, an output directory, and a
+    directory that is never made."""
     root = tmp_path_factory.mktemp("fuzz")
     assert main(["sim", "--family", "trunk", "--p", "4", "--n", "12", "--seed", "1",
                  "--output-dir", str(root)]) == 0
@@ -105,7 +108,7 @@ def files(tmp_path_factory):
     (root / "other.txt").write_text("lolkit-projection,v1,3,1,lol,\n1,0,0\n")
     (root / "out").mkdir()
     return {"csv": csv, "proj": str(root / "proj.txt"), "other_proj": str(root / "other.txt"),
-            "out": str(root / "out")}
+            "out": str(root / "out"), "missing": str(root / "missing")}
 
 
 @settings(max_examples=400, deadline=None)

@@ -398,13 +398,14 @@ _FAILING_SAVE = """
 import resource, signal, sys
 import numpy as np
 from lolkit.embeddings import save_projection
+from lolkit.errors import WriteFailure
 from lolkit.model import Projection
 signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
 resource.setrlimit(resource.RLIMIT_FSIZE, (10, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))
 try:
     save_projection(Projection(np.full((3, 2), 0.5), "pca"), sys.argv[1])
-except OSError as exc:
-    print(exc.errno)
+except WriteFailure as exc:
+    print(exc.__cause__.errno)
 """
 
 

@@ -27,6 +27,7 @@ from lolkit.benchmark import (
     sweep,
 )
 from lolkit.classifiers import (
+    class_moments,
     fit_lda,
     fit_qda,
     misclassification_rate,
@@ -68,7 +69,8 @@ def reference_sweep(dataset: LabeledDataset, algorithms, d_max, plan: FoldPlan, 
                 for r in range(1, min(d_max, proj.d) + 1):
                     try:
                         pre = proj.prefix(r)
-                        clf = fit_cls(emb.embed(pre, train_ds.data), train_ds.labels, c)
+                        moments = class_moments(emb.embed(pre, train_ds.data), train_ds.labels, c)
+                        clf = fit_cls(moments)
                         pred = predict(clf, emb.embed(pre, test))
                         tag_rates[j, r - 1] = misclassification_rate(pred, y[te])
                     except _CELL_ERRORS:
