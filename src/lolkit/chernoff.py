@@ -14,14 +14,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg as sla
 
 from .errors import (
     DegenerateGamma,
     NotPositiveDefinite,
     PooledDenominatorDegenerate,
+    ShapeMismatch,
     SingularProjectedCov,
 )
+from .linalg import _cholesky, _factor, _project, _solve
 from .model import as_matrix, cov_as_dense
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
@@ -34,28 +35,27 @@ class ChernoffReport:
     convention: str  # "scaled" or "raw"
 
 
-def _check_pd(cov, name):
+def _check_pd(cov, name, mean_shape):
+    """(cov, lower Cholesky factor, log-determinant) of a mean's covariance."""
     cov = np.asarray(cov, dtype=np.float64)
+    if len(mean_shape) != 1 or cov.shape != mean_shape * 2:
+        raise ShapeMismatch(f"{name} has shape {cov.shape}; the means have shape {mean_shape}")
     try:
-        chol = np.linalg.cholesky(cov)
+        return (cov, *_factor(cov))
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(f"{name} is not positive definite") from exc
-    return cov, chol
 
 
 def chernoff_divergence_t(f0, f1, t):
     """Chernoff divergence C_t between Gaussians f = (mean, covariance)."""
     mu0, sig0 = f0
     mu1, sig1 = f1
-    sig0, chol0 = _check_pd(sig0, "Sigma0")
-    sig1, chol1 = _check_pd(sig1, "Sigma1")
     diff = np.asarray(mu1, dtype=np.float64) - np.asarray(mu0, dtype=np.float64)
-    sig_t = t * sig0 + (1.0 - t) * sig1
-    chol_t = np.linalg.cholesky(sig_t)
-    quad = diff @ sla.cho_solve((chol_t, True), diff)
-    logdet_t = 2.0 * np.sum(np.log(np.diag(chol_t)))
-    logdet0 = 2.0 * np.sum(np.log(np.diag(chol0)))
-    logdet1 = 2.0 * np.sum(np.log(np.diag(chol1)))
+    sig0, _, logdet0 = _check_pd(sig0, "Sigma0", diff.shape)
+    sig1, _, logdet1 = _check_pd(sig1, "Sigma1", diff.shape)
+    _, chol_t, logdet_t = _check_pd(t * sig0 + (1.0 - t) * sig1,
+                                    f"t Sigma0 + (1 - t) Sigma1 at t={t}", diff.shape)
+    quad = diff @ _solve(chol_t, diff)
     return 0.5 * t * (1.0 - t) * quad + 0.5 * (logdet_t - t * logdet0 - (1.0 - t) * logdet1)
 
 
@@ -92,21 +92,19 @@ def chernoff_gaussian(f0, f1):
 
 def projected_chernoff_quadform(a, delta, sigma):
     """delta' A (A' Sigma A)^-1 A' delta (raw convention; scaled = /8)."""
-    a = as_matrix(a)
-    delta = np.asarray(delta, dtype=np.float64)
-    sigma = np.asarray(sigma, dtype=np.float64)
-    proj_cov = a.T @ sigma @ a
-    proj_delta = a.T @ delta
+    proj_delta, proj_cov = _project(as_matrix(a), np.asarray(delta, dtype=np.float64),
+                                    np.asarray(sigma, dtype=np.float64))
     try:
-        chol = np.linalg.cholesky(proj_cov)
+        chol = _cholesky(proj_cov)
     except np.linalg.LinAlgError:
+        # a relative ridge with no absolute floor: a zero projection stays singular
         d = proj_cov.shape[0]
         ridged = proj_cov + 1e-8 * np.trace(proj_cov) / d * np.eye(d)
         try:
-            chol = np.linalg.cholesky(ridged)
+            chol = _cholesky(ridged)
         except np.linalg.LinAlgError as exc:
             raise SingularProjectedCov("projected covariance is singular") from exc
-    return float(proj_delta @ sla.cho_solve((chol, True), proj_delta))
+    return float(proj_delta @ _solve(chol, proj_delta))
 
 
 def _eigh_desc(sigma):

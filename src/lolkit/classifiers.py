@@ -13,15 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.special import ndtr
 
-from .errors import (
-    NonFiniteData,
-    ShapeMismatch,
-    SingularProjectedCov,
-    UnderdeterminedClassifier,
-)
+from .errors import ShapeMismatch, SingularProjectedCov, UnderdeterminedClassifier
+from .linalg import _cholesky, _factor, _project, _solve
 from .model import DataMatrix, GaussianModel, as_matrix, cov_as_dense, gaussian_noise
 
 RIDGE_REL = 1e-8
@@ -48,31 +43,6 @@ class GaussianClassifier:
     covariances: tuple       # one (d, d) per class, ridge-stabilized
     _chols: tuple
     _logdets: np.ndarray
-
-
-def _cholesky(cov):
-    """Lower Cholesky factor of ``cov``, its upper triangle left as it was:
-    LAPACK's dpotrf with cho_factor(cov, lower=True)'s flags and bits,
-    without scipy's wrappers.  A NaN or infinite entry raises
-    NonFiniteData (dpotrf would factor [[inf]]); a matrix that is not
-    positive definite raises np.linalg.LinAlgError."""
-    if not np.isfinite(cov).all():
-        raise NonFiniteData("covariance contains NaN or Inf entries")
-    chol, info = dpotrf(cov, lower=1, clean=0)
-    if info > 0:
-        raise np.linalg.LinAlgError(
-            f"{info}-th leading minor of the array is not positive definite")
-    return chol
-
-
-def _solve(chol, b):
-    """cho_solve((chol, True), b) through LAPACK's dpotrs, without scipy's wrappers."""
-    return dpotrs(chol, b, lower=1)[0]
-
-
-def _factor(cov):
-    chol = _cholesky(cov)
-    return chol, 2.0 * np.sum(np.log(np.diag(chol)))
 
 
 def _discriminant(x, means, chols, logdets, priors):
@@ -174,15 +144,6 @@ def misclassification_rate(pred, truth):
     if pred.shape != truth.shape:
         raise ShapeMismatch("prediction/truth length mismatch")
     return float(np.mean(pred != truth))
-
-
-def _project(a, mean, cov):
-    """(A' mean, A' cov A) for a dense or diagonal-vector covariance;
-    unchanged when ``a`` is None."""
-    if a is None:
-        return mean, cov
-    cov_a = a.T @ (cov[:, None] * a) if cov.ndim == 1 else a.T @ cov @ a
-    return a.T @ mean, cov_a
 
 
 def bayes_error_two_class(model: GaussianModel, proj=None):

@@ -371,7 +371,9 @@ def main(argv=None):
         for name, value in vars(args).items():
             if isinstance(value, float) and not np.isfinite(value):
                 raise ParseFailure(f"--{name.replace('_', '-')} must be finite, got {value}")
-        return args.func(args)
+        # lolkit's own checks catch non-finite results; numpy's warnings would precede the JSON
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except LolkitError as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DegenerateMeans, DegenerateTarget, ShapeMismatch, TooFewDims
+from .errors import DegenerateMeans, DegenerateTarget, NonFiniteData, ShapeMismatch, TooFewDims
 from .files import _atomic_write
 from .linalg import (
     _fix_signs,
@@ -48,6 +48,9 @@ def _delta_block(locations, priors):
     loc = locations[:, order]
     deltas = loc[:, 0:1] - loc[:, 1:]
     norms = np.linalg.norm(deltas, axis=0)
+    # an overflowing norm would divide every difference to zero
+    if not np.isfinite(norms).all():
+        raise NonFiniteData("a class location difference has a norm that overflows")
     floor = 1e-12 * max(1.0, np.linalg.norm(loc[:, 0]))
     bad = np.flatnonzero(norms < floor)
     if bad.size:

@@ -1,8 +1,9 @@
 """Shared numerical primitives.
 
 Truncated SVD (exact and Halko-style randomized), very sparse random
-projection columns, Haar-uniform rotations, and the implicit-operator
-eigensolver used by low-rank CCA.
+projection columns, Haar-uniform rotations, the implicit-operator
+eigensolver used by low-rank CCA, and the Cholesky, solve and Gaussian
+projection that the classifiers and the Chernoff theory share.
 """
 
 from __future__ import annotations
@@ -10,12 +11,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import (
     CcaRankExceeded,
     DegeneratePooledCovariance,
     NonFiniteData,
     RankRequestTooLarge,
+    ShapeMismatch,
 )
 
 # Exact LAPACK SVD is used automatically below this size; randomized above.
@@ -46,9 +49,11 @@ def resolve_svd_mode(k, p, n, mode):
     """The path a rank-k truncated SVD of a p x n matrix takes under
     ``mode``: "auto" resolves to "exact" when min(p, n) <=
     EXACT_SVD_MAX_DIM and to "randomized" above; other modes pass through.
-    A k outside 1..min(p, n) raises RankRequestTooLarge."""
+    A k outside 1..min(p, n) raises RankRequestTooLarge; another mode, ShapeMismatch."""
     if k < 1 or k > min(p, n):
         raise RankRequestTooLarge(f"k={k} outside 1..min(p,n)={min(p, n)}")
+    if mode not in ("auto", "exact", "randomized"):
+        raise ShapeMismatch(f"unknown SVD mode {mode!r}; expected auto, exact or randomized")
     if mode == "auto":
         return "exact" if min(p, n) <= EXACT_SVD_MAX_DIM else "randomized"
     return mode
@@ -72,8 +77,6 @@ def truncated_svd(values, k, mode="auto", seed=0, oversample=10):
         u, s, vt = np.linalg.svd(m, full_matrices=False)
         u, v = _fix_signs(u[:, :k], vt[:k].T)
         return SvdResult(U=u, S=s[:k], V=v)
-    if mode != "randomized":
-        raise ValueError(f"unknown SVD mode {mode!r}")
 
     rng = np.random.default_rng(seed)
     ell = min(k + oversample, min(p, n))
@@ -103,12 +106,9 @@ def sparse_random_columns(p, k, seed):
     s = np.sqrt(p)
     root_s = np.sqrt(s)
     half = 1.0 / (2.0 * s)
-    out = np.zeros((p, k))
-    for j in range(k):
-        u = rng.random(p)
-        col = np.where(u < half, root_s, np.where(u < 2 * half, -root_s, 0.0))
-        out[:, j] = col
-    return out
+    # row j of the k x p draw is column j
+    u = np.ascontiguousarray(rng.random((k, p)).T)
+    return np.where(u < half, root_s, np.where(u < 2 * half, -root_s, 0.0))
 
 
 def random_rotation(p, seed):
@@ -147,7 +147,7 @@ def implicit_cca_eigs(pooled_centered, class_means, pooled_mean, counts, d):
 
     # economy SVD of the n-dimensional column space of the centered data
     u, s, _ = np.linalg.svd(x, full_matrices=False)
-    keep = s > PINV_RTOL * s[0] if s[0] > 0 else np.zeros_like(s, dtype=bool)
+    keep = s > PINV_RTOL * s[0]
     if not np.any(keep):
         raise DegeneratePooledCovariance("all singular values below threshold")
     u = u[:, keep]
@@ -165,3 +165,37 @@ def implicit_cca_eigs(pooled_centered, class_means, pooled_mean, counts, d):
     if np.any(norms == 0):
         raise DegeneratePooledCovariance("degenerate CCA direction")
     return _fix_signs(vecs / norms)[0]
+
+
+def _cholesky(cov):
+    """Lower Cholesky factor of ``cov``, its upper triangle left as it was:
+    LAPACK's dpotrf with cho_factor(cov, lower=True)'s flags and bits,
+    without scipy's wrappers.  A NaN or infinite entry raises
+    NonFiniteData (dpotrf would factor [[inf]]); a matrix that is not
+    positive definite raises np.linalg.LinAlgError."""
+    if not np.isfinite(cov).all():
+        raise NonFiniteData("covariance contains NaN or Inf entries")
+    chol, info = dpotrf(cov, lower=1, clean=0)
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"{info}-th leading minor of the array is not positive definite")
+    return chol
+
+
+def _solve(chol, b):
+    """cho_solve((chol, True), b) through LAPACK's dpotrs, without scipy's wrappers."""
+    return dpotrs(chol, b, lower=1)[0]
+
+
+def _factor(cov):
+    chol = _cholesky(cov)
+    return chol, 2.0 * np.sum(np.log(np.diag(chol)))
+
+
+def _project(a, mean, cov):
+    """(A' mean, A' cov A) for a dense or diagonal-vector covariance;
+    unchanged when ``a`` is None."""
+    if a is None:
+        return mean, cov
+    cov_a = a.T @ (cov[:, None] * a) if cov.ndim == 1 else a.T @ cov @ a
+    return a.T @ mean, cov_a

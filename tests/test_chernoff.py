@@ -11,7 +11,13 @@ from lolkit.chernoff import (
     projected_chernoff_quadform,
 )
 from lolkit.classifiers import bayes_error_two_class
-from lolkit.errors import LolkitError, NotPositiveDefinite
+from lolkit.errors import (
+    LolkitError,
+    NonFiniteData,
+    NotPositiveDefinite,
+    ShapeMismatch,
+    SingularProjectedCov,
+)
 from lolkit.model import GaussianModel
 
 
@@ -35,6 +41,45 @@ def test_divergence_basic_properties():
 def test_divergence_rejects_indefinite():
     with pytest.raises(NotPositiveDefinite):
         chernoff_divergence_t((np.zeros(2), -np.eye(2)), (np.zeros(2), np.eye(2)), 0.5)
+
+
+def test_divergence_rejects_an_indefinite_mix():
+    # Sigma0 and Sigma1 are positive definite, but 2 I - 3 I is not
+    with pytest.raises(NotPositiveDefinite, match="t=2.0"):
+        chernoff_divergence_t((np.zeros(2), np.eye(2)), (np.zeros(2), 3 * np.eye(2)), 2.0)
+
+
+def test_divergence_rejects_a_covariance_that_does_not_fit_the_means():
+    with pytest.raises(ShapeMismatch, match="Sigma0"):
+        chernoff_divergence_t((np.zeros(2), np.ones(2)), (np.zeros(2), np.eye(2)), 0.5)
+    with pytest.raises(ShapeMismatch, match="Sigma1"):
+        chernoff_divergence_t((np.zeros(2), np.eye(2)), (np.zeros(2), np.eye(3)), 0.5)
+
+
+# NaN, not inf: an infinite entry makes numpy warn inside the projection's matmul
+def _nan_covariance():
+    return np.array([[1.0, np.nan], [np.nan, 2.0]])
+
+
+def test_a_nan_covariance_is_non_finite_data():
+    f0 = (np.zeros(2), _nan_covariance())
+    f1 = (np.ones(2), np.eye(2))
+    with pytest.raises(NonFiniteData):
+        chernoff_divergence_t(f0, f1, 0.5)
+    with pytest.raises(NonFiniteData):
+        chernoff_divergence_t(f1, f0, 0.5)
+    with pytest.raises(NonFiniteData):
+        chernoff_gaussian(f0, f1)
+    with pytest.raises(NonFiniteData):
+        projected_chernoff_quadform(np.eye(2), np.ones(2), _nan_covariance())
+
+
+def test_zero_projection_stays_singular():
+    # the retry ridge is relative to the trace: a zero A'ΣA gets no floor
+    rng = np.random.default_rng(5)
+    delta, sigma = random_instance(rng, 5)
+    with pytest.raises(SingularProjectedCov):
+        projected_chernoff_quadform(np.zeros((5, 2)), delta, sigma)
 
 
 def test_chernoff_equal_covariance_closed_form():

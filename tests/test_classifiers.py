@@ -4,8 +4,6 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.stats import norm
 
 from lolkit.classifiers import (
-    _cholesky,
-    _solve,
     bayes_error_monte_carlo,
     bayes_error_two_class,
     class_moments,
@@ -16,7 +14,7 @@ from lolkit.classifiers import (
     predict_qda,
 )
 from lolkit.errors import NonFiniteData, ShapeMismatch, UnderdeterminedClassifier
-from lolkit.linalg import random_rotation
+from lolkit.linalg import _cholesky, _solve, random_rotation
 from lolkit.model import DataMatrix, GaussianModel
 
 

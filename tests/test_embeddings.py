@@ -26,6 +26,7 @@ from lolkit.errors import (
     CcaRankExceeded,
     DegenerateMeans,
     DegenerateTarget,
+    NonFiniteData,
     RankRequestTooLarge,
     ShapeMismatch,
     TooFewDims,
@@ -110,6 +111,16 @@ def test_fit_lol_trunk_recovers_population_directions():
         assert abs(v[coord]) > 0.95
 
 
+# values near 1e160 square to inf: numpy warns on the overflow before lolkit sees it
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_fit_lol_refuses_a_mean_difference_whose_norm_overflows():
+    rng = np.random.default_rng(0)
+    y = np.arange(40) % 2
+    ds = make_dataset((rng.standard_normal((6, 40)) + y) * 1e160, y)
+    with pytest.raises(NonFiniteData, match="overflows"):
+        fit_lol(ds, 3)
+
+
 def test_fit_lol_dimension_errors():
     ds = two_class(p=5, n=40)
     with pytest.raises(TooFewDims):
@@ -167,6 +178,11 @@ def test_rank_above_min_p_n_is_still_rank_request_too_large(mode):
     with pytest.raises(RankRequestTooLarge, match=r"^k=0 outside 1\.\.min\(p,n\)=8$"):
         fit_rrlda(ds, 0, svd_mode=mode)
     assert "class_centered_svd" not in vars(ds)
+
+
+def test_unknown_svd_mode_is_a_shape_mismatch():
+    with pytest.raises(ShapeMismatch, match="expected auto, exact or randomized"):
+        fit_pca(two_class(p=5, n=40), 2, svd_mode="bogus")
 
 
 def test_lfl_rp_nesting_up_to_column_scale():

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from lolkit.errors import CcaRankExceeded, NonFiniteData, RankRequestTooLarge
+from lolkit.errors import CcaRankExceeded, NonFiniteData, RankRequestTooLarge, ShapeMismatch
 from lolkit.linalg import (
     implicit_cca_eigs,
     random_rotation,
@@ -25,6 +25,11 @@ def test_svd_rank_one():
     v = np.array([3.0, 4.0])
     res = truncated_svd(np.outer(u, v), 1)
     assert np.isclose(res.S[0], np.linalg.norm(u) * np.linalg.norm(v))
+
+
+def test_svd_unknown_mode_is_a_shape_mismatch_naming_the_modes():
+    with pytest.raises(ShapeMismatch, match="expected auto, exact or randomized"):
+        truncated_svd(np.eye(3), 1, mode="bogus")
 
 
 def test_svd_randomized_close_to_exact():
