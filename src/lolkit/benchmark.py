@@ -40,7 +40,7 @@ from .errors import (
     ShapeMismatch,
     TooManyFolds,
 )
-from .model import DataMatrix, LabeledDataset
+from .model import DataMatrix, LabeledDataset, label_counts
 
 SCHEMA_VERSION = 1
 
@@ -52,7 +52,8 @@ _MISSING_ANY_CASE = frozenset(
     "".join(spelling) for token in _MISSING for spelling in product(*zip(token, token.upper()))
 )
 
-# features with fewer distinct values than this are one-hot encoded
+# a feature column holding a cell that float() rejects is one-hot encoded
+# when it has fewer distinct cells than this, and refused otherwise
 ONE_HOT_THRESHOLD = 10
 
 
@@ -68,14 +69,17 @@ def load_csv(path, label_column) -> LoadedCsv:
     """Load a UTF-8 comma- or tab-delimited file into a LabeledDataset.
 
     The delimiter is a tab when the header line holds one outside a quoted
-    field.  Rows with any missing entry are dropped; feature columns with
-    fewer than ONE_HOT_THRESHOLD unique values are one-hot encoded; the
-    rest must parse as reals.  ``label_column`` is a header name or
-    integer index.  A plain numeric file is parsed by numpy's C tokenizer,
-    which gives the values float() gives (see _numeric_table); every other
-    file, such as one with missing entries, categorical columns, quoted
-    fields or cells like ``1_000``, is parsed row by row as it is read (see
-    _FeatureRows), so its cells are never all held as strings at once.
+    field.  Rows with any missing entry are dropped.  A feature column
+    whose cells all parse with float() is one numeric row, however few
+    distinct values it has; a column holding a cell that float() rejects
+    is one-hot encoded when it has fewer than ONE_HOT_THRESHOLD distinct
+    cells, and otherwise raises ParseFailure.  ``label_column`` is a header
+    name or integer index.  A plain numeric file is parsed by numpy's C
+    tokenizer, which gives the values float() gives (see _numeric_table);
+    every other file, such as one with missing entries, categorical
+    columns, quoted fields or cells like ``1_000``, is parsed row by row as
+    it is read (see _FeatureRows), so its cells are never all held as
+    strings at once.  The input is read once, so it may be a pipe.
     """
     try:
         fh = open(path, newline="", encoding="utf-8")
@@ -120,10 +124,7 @@ def load_csv(path, label_column) -> LoadedCsv:
             raise ParseFailure(f"{path}:{line}: {exc}") from None
     if label_error is not None:
         raise label_error
-    if numeric is None:
-        label_cells = table.labels
-    else:
-        label_cells, parsed, one_hot = numeric
+    label_cells = table.labels if numeric is None else numeric[0]
 
     n = len(label_cells)
     if n < 2:
@@ -142,10 +143,12 @@ def load_csv(path, label_column) -> LoadedCsv:
         for k, j in enumerate(columns):
             if k in table.unparsed and k not in one_hot:
                 raise ParseFailure(
-                    f"{path}: column {header[j]!r} is non-numeric with "
-                    f"{_count_distinct(path, delimiter, j)} distinct values"
+                    f"{path}: column {header[j]!r} is non-numeric with at least "
+                    f"{ONE_HOT_THRESHOLD} distinct values"
                 )
         parsed = np.stack(table.values, axis=1)  # one row per feature column
+    else:
+        one_hot, parsed = {}, numeric[1]
     feature_names, blocks = [], []
     for k, j in enumerate(columns):
         if k in one_hot:
@@ -161,8 +164,7 @@ def load_csv(path, label_column) -> LoadedCsv:
 
 
 def _numeric_table(fh, delimiter, width, label_idx):
-    """(label cells, p x n float64 matrix, {feature: (sorted levels, level
-    index per row)} of the one-hot columns) of the rows left in ``fh``,
+    """(label cells, p x n float64 matrix) of the rows left in ``fh``,
     parsed by np.loadtxt, or None with ``fh`` rewound when numpy cannot
     give exactly what _FeatureRows gives.
 
@@ -171,18 +173,15 @@ def _numeric_table(fh, delimiter, width, label_idx):
     The forms float() accepts and numpy rejects (``1_000``, non-ASCII
     digits, quoted cells, missing tokens) make the call fail.  A result is
     kept only when it is complete, has no NaN, no missing or quoted label
-    and no field over csv.field_size_limit().  A cell string always gives
-    the same float, so a column with ONE_HOT_THRESHOLD distinct floats has
-    as many distinct cells and is not one-hot; only the cells of the
-    columns with fewer are read again, as strings.  A stream that cannot
-    be rewound, such as a pipe, is left to _FeatureRows.
+    and no field over csv.field_size_limit().  Every feature cell of a kept
+    result parsed, so no column is one-hot.  A stream that cannot be
+    rewound, such as a pipe, is left to _FeatureRows.
     """
     if not fh.seekable():
         return None
     start = fh.tell()
     limit = csv.field_size_limit()
     label_codes = {}  # label cell -> code
-    columns = [j for j in range(width) if j != label_idx]  # header index per feature
 
     def lines():
         for line in fh:
@@ -202,23 +201,10 @@ def _numeric_table(fh, delimiter, width, label_idx):
         data = None
     if data is not None and data.shape[1] == width and len(data) >= 2 \
             and _MISSING_ANY_CASE.isdisjoint(label_codes) and not any('"' in v for v in label_codes):
-        x = data.T[columns]  # C-contiguous p x n
-        ordered = np.sort(x, axis=1)
-        if not np.isnan(ordered[:, -1]).any():
-            distinct = 1 + np.count_nonzero(ordered[:, 1:] != ordered[:, :-1], axis=1)
-            few = np.flatnonzero(distinct < ONE_HOT_THRESHOLD).tolist()
-            one_hot = {}
-            if few:
-                fh.seek(start)
-                strings = np.loadtxt(fh, dtype=object, delimiter=delimiter, comments=None,
-                                     quotechar=None, ndmin=2, usecols=[columns[k] for k in few])
-                for k, col in zip(few, strings.T.tolist()):
-                    seen = {}
-                    codes = [seen.setdefault(cell.strip(), len(seen)) for cell in col]
-                    if len(seen) < ONE_HOT_THRESHOLD:
-                        one_hot[k] = _sorted_levels(seen, codes)
+        x = data.T[[j for j in range(width) if j != label_idx]]  # C-contiguous p x n
+        if not np.isnan(x).any():
             cells = list(label_codes)
-            return [cells[code] for code in data[:, label_idx].astype(np.intp).tolist()], x, one_hot
+            return [cells[code] for code in data[:, label_idx].astype(np.intp).tolist()], x
     fh.seek(start)
     return None
 
@@ -243,7 +229,10 @@ class _FeatureRows:
     one float64 array, float() of each feature cell.  A column whose cell
     float() rejects is not parsed again and its entries are left 0.  Until
     a column has ONE_HOT_THRESHOLD distinct cells it also keeps them, with
-    a level code per row: all that a one-hot column needs.
+    a level code per row: all that a one-hot column needs.  Any column may
+    turn out not to parse on a later row, and a pipe cannot be read again,
+    so the levels are kept for every column, not only those known not to
+    parse.
     """
 
     def __init__(self, width, label_idx):
@@ -280,17 +269,16 @@ class _FeatureRows:
 
     def one_hot(self):
         """{feature: (sorted levels, level index per row)} for the columns
-        with fewer than ONE_HOT_THRESHOLD distinct cells."""
-        return {k: _sorted_levels(seen, self.codes[k]) for k, seen in self.levels.items()}
-
-
-def _sorted_levels(seen, codes):
-    """(sorted levels, level index per row) of a column whose distinct
-    cells ``seen`` maps to codes and whose rows have the codes ``codes``."""
-    levels = sorted(seen)
-    rank = np.empty(len(levels), np.intp)
-    rank[[seen[v] for v in levels]] = np.arange(len(levels))
-    return levels, rank[np.array(codes, dtype=np.intp)]
+        that did not parse and have fewer than ONE_HOT_THRESHOLD distinct
+        cells."""
+        out = {}
+        for k, seen in self.levels.items():
+            if k in self.unparsed:
+                levels = sorted(seen)
+                rank = np.empty(len(levels), np.intp)  # code -> index in levels
+                rank[[seen[v] for v in levels]] = np.arange(len(levels))
+                out[k] = levels, rank[np.array(self.codes[k], dtype=np.intp)]
+        return out
 
 
 def _parses(cell):
@@ -299,20 +287,6 @@ def _parses(cell):
     except ValueError:
         return False
     return True
-
-
-def _count_distinct(path, delimiter, j):
-    """Distinct stripped cells of column ``j`` in the complete rows of
-    ``path``.  Only the error message of load_csv needs it, so it reads
-    the file again instead of load_csv keeping every cell."""
-    seen = set()
-    with open(path, newline="", encoding="utf-8") as fh:
-        fh.readline()
-        for row in csv.reader(fh, delimiter=delimiter):
-            row = list(map(str.strip, row))
-            if row and _MISSING_ANY_CASE.isdisjoint(row):
-                seen.add(row[j])
-    return len(seen)
 
 
 @dataclass(frozen=True)
@@ -357,12 +331,14 @@ def _stratified_subsample(indices, labels, size, rng):
 
 def make_fold_plan(n, p, num_classes, k, labels, seed) -> FoldPlan:
     """Stratified fold assignment plus per-fold training subsamples of
-    size min(floor(n (k-1) / k), p - 1)."""
+    size min(floor(n (k-1) / k), p - 1).  Labels that do not fit n and
+    ``num_classes`` raise ShapeMismatch or EmptyClass (see
+    model.label_counts)."""
     if k > n:
         raise TooManyFolds(f"k={k} exceeds n={n}")
     if k < 2:
         raise TooManyFolds("need at least 2 folds")
-    labels = np.asarray(labels, dtype=np.int64)
+    labels, _ = label_counts(labels, n, num_classes)
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xF01D)))
     assignment = np.empty(n, dtype=np.int64)
     offset = 0

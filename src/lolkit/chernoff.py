@@ -17,10 +17,12 @@ import numpy as np
 
 from .errors import (
     DegenerateGamma,
+    NonFiniteData,
     NotPositiveDefinite,
     PooledDenominatorDegenerate,
     ShapeMismatch,
     SingularProjectedCov,
+    TooFewDims,
 )
 from .linalg import _cholesky, _factor, _project, _solve
 from .model import as_matrix, cov_as_dense
@@ -123,6 +125,21 @@ def _truncated_pinv_quad(delta, lam, u, d):
     return float(np.sum(coef * coef / lam_d[good]))
 
 
+def _gap_inputs(delta, sigma, d):
+    """(delta, Sigma) as float64 arrays for a closed-form gap at width d.
+    Sigma not p x p for delta's length p raises ShapeMismatch, a NaN or
+    infinite entry NonFiniteData, and d outside 1..p TooFewDims."""
+    delta = np.asarray(delta, dtype=np.float64)
+    sigma = np.asarray(sigma, dtype=np.float64)
+    if delta.ndim != 1 or sigma.shape != delta.shape * 2:
+        raise ShapeMismatch(f"Sigma has shape {sigma.shape}; delta has shape {delta.shape}")
+    if not (np.isfinite(delta).all() and np.isfinite(sigma).all()):
+        raise NonFiniteData("delta or Sigma contains NaN or Inf entries")
+    if not 1 <= d <= delta.shape[0]:
+        raise TooFewDims(f"d={d} outside 1..p={delta.shape[0]}")
+    return delta, sigma
+
+
 def _lol_quadform(delta, sigma, d):
     # closed-form raw quadform of the LOL map [delta | U_{d-1}]; also
     # returns Sigma's eigenpairs in descending order
@@ -141,8 +158,7 @@ def _lol_quadform(delta, sigma, d):
 def lol_vs_lda_gap(delta, sigma, d):
     """Closed-form Chernoff gap (raw convention) between the LOL map
     [delta | U_{d-1}] and the eigenvector map U_d of Sigma."""
-    delta = np.asarray(delta, dtype=np.float64)
-    sigma = np.asarray(sigma, dtype=np.float64)
+    delta, sigma = _gap_inputs(delta, sigma, d)
     if not np.any(delta):
         return 0.0
     lol_term, lam, u = _lol_quadform(delta, sigma, d)
@@ -152,8 +168,7 @@ def lol_vs_lda_gap(delta, sigma, d):
 def lol_vs_pca_gap(delta, sigma, d):
     """Closed-form Chernoff gap (raw convention) between LOL and PCA on
     the pooled covariance Sigma + delta delta'/4."""
-    delta = np.asarray(delta, dtype=np.float64)
-    sigma = np.asarray(sigma, dtype=np.float64)
+    delta, sigma = _gap_inputs(delta, sigma, d)
     if not np.any(delta):
         return 0.0
     lol_term, _, _ = _lol_quadform(delta, sigma, d)

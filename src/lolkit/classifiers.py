@@ -17,7 +17,7 @@ from scipy.special import ndtr
 
 from .errors import ShapeMismatch, SingularProjectedCov, UnderdeterminedClassifier
 from .linalg import _cholesky, _factor, _project, _solve
-from .model import DataMatrix, GaussianModel, as_matrix, cov_as_dense, gaussian_noise
+from .model import DataMatrix, GaussianModel, as_matrix, cov_as_dense, gaussian_noise, label_counts
 
 RIDGE_REL = 1e-8
 
@@ -79,13 +79,12 @@ class ClassMoments:
 
 def class_moments(embedded: DataMatrix, labels, num_classes=None) -> ClassMoments:
     """The ClassMoments of a training set; C is ``num_classes`` or the
-    largest label plus one."""
+    largest label plus one.  Labels that do not fit raise ShapeMismatch or
+    EmptyClass (see model.label_counts)."""
     x = embedded.values
-    labels = np.asarray(labels, dtype=np.int64)
-    c = num_classes or int(labels.max()) + 1
-    counts = np.bincount(labels, minlength=c)
-    masks = [labels == j for j in range(c)]
-    means = np.empty((x.shape[0], c))
+    labels, counts = label_counts(labels, x.shape[1], num_classes)
+    masks = [labels == j for j in range(counts.size)]
+    means = np.empty((x.shape[0], counts.size))
     for j, mask in enumerate(masks):
         means[:, j] = x[:, mask].mean(axis=1)
     centered = x - means[:, labels]

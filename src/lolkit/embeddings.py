@@ -66,11 +66,19 @@ def mean_difference_matrix(stats: ClassStats) -> np.ndarray:
     return _delta_block(stats.class_means, stats.priors)
 
 
+def _check_width(dataset, d):
+    """The width rule of the delta-first fits and rp: a fit has no more
+    columns than features, so d above p raises TooFewDims."""
+    if d > dataset.p:
+        raise TooFewDims(f"d={d} exceeds p={dataset.p}")
+
+
 def _extra_dims(dataset, d):
     """Columns a delta-first fit adds after its C-1 mean differences."""
     c = dataset.num_classes
     if d < c - 1:
         raise TooFewDims(f"d={d} below C-1={c - 1}")
+    _check_width(dataset, d)
     return d - (c - 1)
 
 
@@ -83,8 +91,6 @@ def fit_lol(dataset: LabeledDataset, d, svd_mode="auto", seed=0) -> Projection:
     """Mean-difference columns followed by the top eigenvectors of the
     class-conditionally centered data."""
     k = _extra_dims(dataset, d)
-    if d > dataset.p:
-        raise TooFewDims(f"d={d} exceeds p={dataset.p}")
     stats = class_stats(dataset)
     delta = mean_difference_matrix(stats)
     eig = _class_centered_directions(dataset, k, svd_mode, seed, stats) if k else None
@@ -191,6 +197,7 @@ def fit_lfl(dataset: LabeledDataset, d, seed=0) -> Projection:
 
 def fit_rp(dataset: LabeledDataset, d, seed=0) -> Projection:
     """Label-blind sparse random projection."""
+    _check_width(dataset, d)
     cols = _unit_columns(sparse_random_columns(dataset.p, d, seed))
     return Projection(cols, method_tag="rp", seed=seed)
 

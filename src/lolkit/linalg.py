@@ -194,8 +194,13 @@ def _factor(cov):
 
 def _project(a, mean, cov):
     """(A' mean, A' cov A) for a dense or diagonal-vector covariance;
-    unchanged when ``a`` is None."""
+    unchanged when ``a`` is None.  An A that is not p x d for the mean's
+    length p, or a covariance that is neither p x p nor of length p,
+    raises ShapeMismatch."""
     if a is None:
         return mean, cov
+    if a.ndim != 2 or mean.shape != a.shape[:1] or cov.shape not in (mean.shape, mean.shape * 2):
+        raise ShapeMismatch(f"A has shape {a.shape}, the mean {mean.shape} and the "
+                            f"covariance {cov.shape}")
     cov_a = a.T @ (cov[:, None] * a) if cov.ndim == 1 else a.T @ cov @ a
     return a.T @ mean, cov_a

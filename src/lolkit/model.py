@@ -55,6 +55,28 @@ class DataMatrix:
         return rows
 
 
+def label_counts(labels, n, num_classes=None):
+    """(labels as int64, samples per class) of n class labels in 0..C-1,
+    where C is ``num_classes`` or, when that is None or 0, the largest
+    label plus one.  Labels that are not a length-n vector raise
+    ShapeMismatch; fewer than 2 classes, a label outside 0..C-1 or a class
+    with no samples raise EmptyClass."""
+    y = np.asarray(labels)
+    if y.ndim != 1 or y.shape[0] != n:
+        raise ShapeMismatch(f"labels must be a length-{n} vector, got shape {y.shape}")
+    y = y.astype(np.int64)
+    c = num_classes if num_classes else int(y.max()) + 1
+    if c < 2:
+        raise EmptyClass(f"need at least 2 classes, got C={c}")
+    if y.min() < 0 or y.max() >= c:
+        raise EmptyClass(f"labels must lie in 0..{c - 1}")
+    counts = np.bincount(y, minlength=c)
+    if np.any(counts == 0):
+        missing = int(np.flatnonzero(counts == 0)[0])
+        raise EmptyClass(f"class {missing} has no samples")
+    return y, counts
+
+
 @dataclass(frozen=True)
 class LabeledDataset:
     """A DataMatrix plus n integer class labels in {0..C-1}.
@@ -69,23 +91,9 @@ class LabeledDataset:
     num_classes: int = field(default=0)
 
     def __post_init__(self):
-        y = np.asarray(self.labels)
-        if y.ndim != 1 or y.shape[0] != self.data.n:
-            raise ShapeMismatch(
-                f"labels must be a length-{self.data.n} vector, got shape {y.shape}"
-            )
-        y = y.astype(np.int64)
-        c = self.num_classes if self.num_classes else int(y.max()) + 1
-        if c < 2:
-            raise EmptyClass(f"need at least 2 classes, got C={c}")
-        counts = np.bincount(y, minlength=c)
-        if y.min() < 0 or y.max() >= c:
-            raise EmptyClass(f"labels must lie in 0..{c - 1}")
-        if np.any(counts == 0):
-            missing = int(np.flatnonzero(counts == 0)[0])
-            raise EmptyClass(f"class {missing} has no samples")
+        y, counts = label_counts(self.labels, self.data.n, self.num_classes)
         object.__setattr__(self, "labels", y)
-        object.__setattr__(self, "num_classes", c)
+        object.__setattr__(self, "num_classes", counts.size)
 
     @property
     def p(self):

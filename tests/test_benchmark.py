@@ -1,6 +1,7 @@
 import contextlib
 import json
 import os
+import subprocess
 import sys
 import threading
 
@@ -24,10 +25,14 @@ from lolkit.benchmark import (
 )
 from lolkit.errors import (
     DegenerateLabels,
+    EmptyClass,
     EmptyCurve,
+    LolkitError,
     NoBaseline,
     ParseFailure,
+    RankRequestTooLarge,
     ShapeMismatch,
+    TooFewDims,
     TooManyFolds,
 )
 from lolkit.model import DataMatrix, LabeledDataset
@@ -47,8 +52,10 @@ def test_load_csv_drops_incomplete_rows(tmp_path):
         ",3.0,y",
         "2.5,4.0,y",
     ]))
-    # both features have <10 unique values, so they are one-hot encoded
+    # both features parse, so each is one numeric row however few values it has
     loaded = load_csv(path, "label")
+    assert loaded.feature_names == ("a", "b")
+    assert loaded.dataset.data.values.tolist() == [[1.5, 2.5], [2.0, 4.0]]
     assert loaded.dataset.n == 2
     assert loaded.n_dropped_rows == 1
     assert loaded.label_mapping == {"x": 0, "y": 1}
@@ -73,6 +80,22 @@ def test_load_csv_integer_column_with_many_values_kept_numeric(tmp_path):
     loaded = load_csv(write(tmp_path, "\n".join(rows)), "label")
     assert loaded.feature_names == ("v",)
     assert loaded.dataset.p == 1
+
+
+@pytest.mark.parametrize("cells", [
+    ["1", "1.0"] * 6,                   # two spellings of one value
+    [str(i) for i in range(9)],         # a file of 9 rows
+    [str(i % 3) for i in range(30)],    # 0/1/2 genotype codes
+], ids=["one-spelled-two-ways", "nine-rows", "genotypes"])
+@pytest.mark.parametrize("category", [False, True], ids=["numpy", "row-by-row"])
+def test_load_csv_keeps_a_column_that_parses_numeric(tmp_path, cells, category):
+    # a categorical column makes the file one that numpy's parse declines
+    extra = lambda i: f",{'AB'[i % 2]}" if category else ""
+    text = "v,label" + (",cat" if category else "") + "\n" + "".join(
+        f"{c},{i % 2}{extra(i)}\n" for i, c in enumerate(cells))
+    loaded = load_csv(write(tmp_path, text), "label")
+    assert loaded.feature_names == (("v", "cat=A", "cat=B") if category else ("v",))
+    assert loaded.dataset.data.values[0].tolist() == [float(c) for c in cells]
 
 
 def test_load_csv_tab_autodetect_and_label_index(tmp_path):
@@ -132,12 +155,54 @@ def test_load_csv_errors(tmp_path):
 
 
 def test_load_csv_counts_every_row_of_a_column_that_turns_non_numeric_late(tmp_path):
-    # v has 12 distinct numbers before its first non-numeric cell, so the
-    # loader has stopped keeping its strings; the message still counts all
+    # v has 12 distinct numbers before its first non-numeric cell, so it
+    # has too many values to be one-hot encoded
     rows = ["v,cat,label"] + [f"{i},{'AB'[i % 2]},{i % 2}" for i in range(12)]
     rows += ["x,A,0", "x,B,1", "NA,A,0"]
-    with pytest.raises(ParseFailure, match=r"column 'v' is non-numeric with 13 distinct values"):
+    with pytest.raises(ParseFailure,
+                       match=r"column 'v' is non-numeric with at least 10 distinct values"):
         load_csv(write(tmp_path, "\n".join(rows)), "label")
+    # with 3 numbers before it, its numeric cells are levels of its indicators
+    rows = ["v,cat,label"] + [f"{i % 3},{'AB'[i % 2]},{i % 2}" for i in range(12)]
+    loaded = load_csv(write(tmp_path, "\n".join(rows + ["x,A,0", "x,B,1"])), "label")
+    assert loaded.feature_names == ("v=0", "v=1", "v=2", "v=x", "cat=A", "cat=B")
+    assert loaded.dataset.data.values[:4].sum(axis=0).tolist() == [1.0] * 14
+
+
+def test_load_csv_refuses_a_many_valued_non_numeric_pipe(tmp_path):
+    # the input is read once: a pipe has nothing left to read again
+    fifo = tmp_path / "d.csv"
+    os.mkfifo(fifo)
+    text = "v,label\n" + "".join(f"v{i},{i % 2}\n" for i in range(12))
+    writer = threading.Thread(target=fifo.write_text, args=(text,), daemon=True)
+    writer.start()
+    outcome = []
+    reader = threading.Thread(target=lambda: outcome.append(_raised(load_csv, fifo, "label")),
+                              daemon=True)
+    reader.start()
+    reader.join(timeout=20)
+    writer.join(timeout=1)
+    assert not reader.is_alive() and not writer.is_alive()
+    assert outcome == [(ParseFailure, f"{fifo}: column 'v' is non-numeric with at least 10 "
+                                      "distinct values")]
+    # standard input through the CLI, in a fresh interpreter
+    done = subprocess.run(
+        [sys.executable, "-m", "lolkit.cli", "fit", "--input", "/dev/stdin", "--alg", "lol",
+         "--d", "1", "--output", str(tmp_path / "p.txt")],
+        input=text, capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(benchmark.__file__))))
+    assert done.returncode == 2
+    assert json.loads(done.stderr) == {
+        "error": "ParseFailure",
+        "message": "/dev/stdin: column 'v' is non-numeric with at least 10 distinct values"}
+
+
+def _raised(fn, *args):
+    try:
+        fn(*args)
+    except LolkitError as exc:
+        return type(exc), str(exc)
+    return None
 
 
 def test_missing_tokens_in_any_case_are_the_lowercase_rule():
@@ -177,6 +242,10 @@ def test_make_fold_plan_structure_and_determinism():
         assert np.array_equal(a.train_subsets[j], b.train_subsets[j])
     with pytest.raises(TooManyFolds):
         make_fold_plan(5, 10, 2, 6, np.array([0, 1] * 2 + [0]), seed=0)
+    with pytest.raises(ShapeMismatch):
+        make_fold_plan(10, 5, 2, 2, [0, 1], 0)
+    with pytest.raises(EmptyClass):
+        make_fold_plan(4, 5, 2, 2, [0, 1, 2, 0], 0)
 
 
 def _curve(means):
@@ -240,6 +309,25 @@ def test_registry_fits_every_algorithm_at_its_clamped_width():
     assert widths == {**dict.fromkeys(ALGORITHMS, 12), "cca": 2, "pls": 11}
     with pytest.raises(ShapeMismatch, match="choose from"):
         fit_projection("foo", ds, 2)
+
+
+# what a fit wider than p gives, where it is not TooFewDims
+_WIDER_THAN_P = {"pca": RankRequestTooLarge, "rrlda": RankRequestTooLarge,
+                 "cca": None, "pls": None}  # None: clamped to a width of at most p
+
+
+@pytest.mark.parametrize("tag", ALGORITHMS)
+def test_no_fit_returns_more_columns_than_features(tag):
+    # 5 features, 3 classes, n=30
+    ds = sample(SimSpec("trunk3", 5, 30, seed=0)).dataset
+    assert fit_projection(tag, ds, 5).d == (2 if tag == "cca" else 5)
+    error = _WIDER_THAN_P.get(tag, TooFewDims)
+    for d in (6, 99):
+        if error is None:
+            assert fit_projection(tag, ds, d).d <= 5
+        else:
+            with pytest.raises(error):
+                fit_projection(tag, ds, d)
 
 
 def test_sweep_rejects_unknown_tag_before_fitting(monkeypatch):

@@ -17,6 +17,7 @@ from lolkit.errors import (
     NotPositiveDefinite,
     ShapeMismatch,
     SingularProjectedCov,
+    TooFewDims,
 )
 from lolkit.model import GaussianModel
 
@@ -72,6 +73,27 @@ def test_a_nan_covariance_is_non_finite_data():
         chernoff_gaussian(f0, f1)
     with pytest.raises(NonFiniteData):
         projected_chernoff_quadform(np.eye(2), np.ones(2), _nan_covariance())
+    for gap in (lol_vs_lda_gap, lol_vs_pca_gap):
+        with pytest.raises(NonFiniteData):
+            gap(np.ones(2), _nan_covariance(), 1)
+
+
+@pytest.mark.parametrize("gap", [lol_vs_lda_gap, lol_vs_pca_gap])
+@pytest.mark.parametrize("d", [0, 4])
+@pytest.mark.parametrize("delta", [np.ones(3), np.zeros(3)], ids=["delta", "zero-delta"])
+def test_a_gap_width_outside_1_to_p_is_too_few_dims(gap, d, delta):
+    with pytest.raises(TooFewDims, match=f"d={d} outside 1..p=3"):
+        gap(delta, np.eye(3), d)
+
+
+def test_a_delta_and_sigma_of_different_sizes_are_a_shape_mismatch():
+    for gap in (lol_vs_lda_gap, lol_vs_pca_gap):
+        with pytest.raises(ShapeMismatch):
+            gap(np.ones(3), np.eye(2), 1)
+    with pytest.raises(ShapeMismatch):
+        projected_chernoff_quadform(np.ones((3, 1)), np.ones(3), np.eye(2))
+    with pytest.raises(ShapeMismatch):
+        projected_chernoff_quadform(np.ones((2, 1)), np.ones(3), np.eye(3))
 
 
 def test_zero_projection_stays_singular():

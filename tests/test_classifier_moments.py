@@ -22,7 +22,7 @@ import pytest
 
 from lolkit import benchmark
 from lolkit.classifiers import class_moments, fit_lda, fit_qda, predict_lda, predict_qda
-from lolkit.errors import LolkitError, ShapeMismatch, UnderdeterminedClassifier
+from lolkit.errors import EmptyClass, LolkitError, ShapeMismatch, UnderdeterminedClassifier
 from lolkit.model import DataMatrix
 
 FITS = {"lda": (fit_lda, predict_lda), "qda": (fit_qda, predict_qda)}
@@ -94,3 +94,14 @@ def test_prefix_and_leading_rows_are_views_within_range():
             moments.prefix(bad)
         with pytest.raises(ShapeMismatch):
             z.leading_rows(bad)
+
+
+@pytest.mark.parametrize("labels, num_classes, error", [
+    ([0, 1], None, ShapeMismatch),                  # 2 labels for 12 columns
+    ([-1] + [0, 1] * 5 + [0], None, EmptyClass),     # a label below 0
+    ([0, 1, 2] * 4, 2, EmptyClass),                 # a label of C or above
+    ([0] * 12, 2, EmptyClass),                      # a class with no samples
+])
+def test_labels_that_do_not_fit_are_lolkit_errors(labels, num_classes, error):
+    with pytest.raises(error):
+        class_moments(DataMatrix(np.ones((3, 12))), np.array(labels), num_classes)

@@ -13,6 +13,7 @@ from lolkit.embeddings import save_projection
 from lolkit.errors import ParseFailure
 from lolkit.files import _atomic_write
 from lolkit.model import Projection
+from lolkit.simulations import SimSpec, sample
 
 
 def run(args):
@@ -58,6 +59,21 @@ def test_sim_writes_dataset_and_model(tmp_path):
     model = json.loads((out / "model.json").read_text())
     assert model["family"] == "trunk"
     assert len(model["means"]) == 100
+
+
+def test_sim_writes_a_regression_dataset_and_its_coefficients(tmp_path):
+    out = tmp_path / "sim"
+    assert run(["sim", "--family", "regression_linear", "--p", "5", "--n", "20",
+                "--seed", "3", "--output-dir", str(out)]) == 0
+    sim = sample(SimSpec("regression_linear", 5, 20, seed=3))
+    lines = (out / "dataset.csv").read_text().split("\n")
+    assert lines[0] == "f0,f1,f2,f3,f4,target"
+    assert len(lines) == 22 and lines[-1] == ""
+    rows = np.array([[float(v) for v in line.split(",")] for line in lines[1:-1]])
+    assert np.array_equal(rows[:, :5], sim.data.values.T)
+    assert np.array_equal(rows[:, 5], sim.targets)
+    assert json.loads((out / "model.json").read_text()) == {
+        "family": "regression_linear", "coef": [1.0, 1.0, 0.0, 0.0, 0.0]}
 
 
 def test_fit_embed_round_trip(tmp_path):
@@ -149,6 +165,18 @@ def test_bench_deterministic_reports(tmp_path):
     assert set(report["algorithms"]) == {"lol", "pca", "rp"}
 
 
+def test_bench_without_d_max_sweeps_to_the_smallest_training_subsample(tmp_path):
+    sim_dir = tmp_path / "sim"
+    run(["sim", "--family", "trunk", "--p", "15", "--n", "80", "--output-dir", str(sim_dir)])
+    bdir = tmp_path / "b"
+    assert run(["bench", "--input", str(sim_dir / "dataset.csv"), "--algs", "lol,rp",
+                "--k", "3", "--output-dir", str(bdir)]) == 0
+    # training subsamples of min(floor(80 * 2 / 3), p - 1) = 14 rows: d_max = 13
+    rows = (bdir / "curves.csv").read_text().split("\n")[1:-1]
+    assert len(rows) == 2 * 13 * 3
+    assert max(int(row.split(",")[1]) for row in rows) == 13
+
+
 def test_chernoff_subcommand_json(capsys):
     assert run(["chernoff", "--instances", "10", "--max-p", "6", "--seed", "2"]) == 0
     out = json.loads(capsys.readouterr().out)
@@ -179,6 +207,16 @@ def test_scale_subcommand(tmp_path):
     lines = out.read_text().strip().split("\n")
     assert lines[0] == "p,n,d,seconds,ratio_to_previous"
     assert len(lines) == 3
+
+
+def test_scale_without_output_writes_to_stdout(capsys):
+    assert run(["scale", "--p-sweep", "200:400:x2", "--n", "100", "--d", "3",
+                "--repeats", "1"]) == 0
+    lines = capsys.readouterr().out.split("\n")
+    assert lines[0] == "p,n,d,seconds,ratio_to_previous"
+    assert [line.split(",")[:3] for line in lines[1:-1]] == [["200", "100", "3"],
+                                                            ["400", "100", "3"]]
+    assert lines[-1] == ""
 
 
 def test_structured_error_and_exit_code(tmp_path, capsys):

@@ -1,8 +1,9 @@
 """Differential test of ``benchmark.load_csv`` against the loader it replaced.
 
 ``reference_load_csv`` is the earlier loader, kept verbatim but for its
-delimiter sniff: one Python step per cell for the strip, the missing
-check, the distinct-value count and the ``float()`` conversion.  The
+delimiter sniff and its one-hot rule: one Python step per cell for the
+strip, the missing check, the ``float()`` conversion and, for a column
+holding a cell that ``float()`` rejects, the distinct-value count.  The
 current loader must give the same bytes, names, label mapping and
 dropped-row count, or raise the same exception with the same message, on
 every generated file.  The files
@@ -82,20 +83,21 @@ def reference_load_csv(path, label_column) -> LoadedCsv:
         if j == label_idx:
             continue
         col = [r[j] for r in kept]
-        uniq = sorted(set(col))
-        if len(uniq) < ONE_HOT_THRESHOLD:
+        # a column that parses is numeric however few values it has; one
+        # that does not is one-hot when it has few distinct cells
+        try:
+            feature_cols.append(np.array([float(c) for c in col]))
+            feature_names.append(name)
+        except ValueError as exc:
+            uniq = sorted(set(col))
+            if len(uniq) >= ONE_HOT_THRESHOLD:
+                raise ParseFailure(
+                    f"{path}: column {name!r} is non-numeric with at least "
+                    f"{ONE_HOT_THRESHOLD} distinct values"
+                ) from exc
             for v in uniq:
                 feature_names.append(f"{name}={v}")
                 feature_cols.append(np.array([1.0 if c == v else 0.0 for c in col]))
-        else:
-            try:
-                feature_cols.append(np.array([float(c) for c in col]))
-            except ValueError as exc:
-                raise ParseFailure(
-                    f"{path}: column {name!r} is non-numeric with "
-                    f"{len(uniq)} distinct values"
-                ) from exc
-            feature_names.append(name)
 
     if not feature_cols:
         raise ParseFailure(f"{path}: no feature columns")
@@ -167,7 +169,8 @@ def plain_column(draw, n_rows):
     """Cells of a numeric column: distinct floats in mixed forms; or, one
     time in six each, a cycle of -0.0, 0.0, 1, 2, ... of length around
     ONE_HOT_THRESHOLD, whose floats have one distinct value fewer than
-    its cells, or a few values with more distinct spellings."""
+    its cells, or a few values with more distinct spellings.  Each of
+    them is one numeric row, however few values it has."""
     kind = draw(st.integers(0, 5))
     if kind == 0:
         m = draw(st.integers(ONE_HOT_THRESHOLD - 1, ONE_HOT_THRESHOLD + 1))
@@ -217,13 +220,15 @@ def csv_files(draw):
         text, label_column = draw(plain_file())
         return text.encode(), label_column
     n_features = draw(st.integers(0, 4))
-    kinds = draw(st.lists(st.sampled_from(["numeric", "numeric", "few", "cycle", "string"]),
+    kinds = draw(st.lists(st.sampled_from(["numeric", "numeric", "few", "cycle", "text-cycle",
+                                           "string"]),
                           min_size=n_features, max_size=n_features))
     label_at = draw(st.integers(0, n_features))
     names = [f"f{i}" for i in range(n_features + 1)]
     if draw(st.integers(0, 9)) == 0:
         names[draw(st.integers(0, n_features))] = draw(odd_names)
-    # a "cycle" column holds i % m in row i: m distinct values, m around
+    # a "cycle" column holds i % m in row i and a "text-cycle" column
+    # f"v{i % m}", which float() rejects: m distinct values, m around
     # ONE_HOT_THRESHOLD
     cycles = [draw(st.integers(ONE_HOT_THRESHOLD - 2, ONE_HOT_THRESHOLD + 2)) for _ in kinds]
     cell_of = {"numeric": numbers, "few": few_levels, "string": strings}
@@ -231,7 +236,8 @@ def csv_files(draw):
     n_rows = draw(st.integers(0, 1) if draw(st.integers(0, 9)) == 0 else st.integers(2, 24))
     for i in range(n_rows):
         row = [draw(rare) if draw(st.integers(0, 29)) == 0
-               else str(i % m) if kind == "cycle" else draw(cell_of[kind])
+               else str(i % m) if kind == "cycle" else f"v{i % m}" if kind == "text-cycle"
+               else draw(cell_of[kind])
                for kind, m in zip(kinds, cycles)]
         row.insert(label_at, draw(rare if draw(st.integers(0, 29)) == 0 else labels))
         rows.append(row)
@@ -345,7 +351,7 @@ CASES = {
                               "float"),
     "one-row": (_text(_plain_table(1)), "float"),
     "header-only": (_text(_plain_table(0)), "float"),
-    # one-hot when its cells, not its floats, are fewer than ONE_HOT_THRESHOLD
+    # a column that parses is one numeric row, however few cells or floats it has
     "binary-column": (_column_b(["0", "1"]), "numpy"),
     "spellings-column": (_column_b(["1", "1.0", " 1", "2"]), "numpy"),
     "nan-in-binary-column": (_column_b(["0", "nan"]), "float"),

@@ -37,6 +37,8 @@ def test_labeled_dataset_requires_every_class():
         make_dataset([[0.0, 1.0]], [0, 0], c=2)
     with pytest.raises(EmptyClass):
         make_dataset([[0.0, 1.0, 2.0]], [0, 2, 2], c=3)
+    with pytest.raises(EmptyClass, match="0..1"):
+        make_dataset([[0.0, 1.0, 2.0]], [-1, 0, 1], c=0)
 
 
 def test_labeled_dataset_label_length_checked():
