@@ -40,7 +40,7 @@ from .errors import (
     ShapeMismatch,
     TooManyFolds,
 )
-from .model import DataMatrix, LabeledDataset, label_counts
+from .model import DataMatrix, LabeledDataset
 
 SCHEMA_VERSION = 1
 
@@ -291,6 +291,7 @@ def _parses(cell):
 
 @dataclass(frozen=True)
 class FoldPlan:
+    dataset: LabeledDataset   # the dataset split, by reference
     folds: tuple              # k disjoint index arrays covering 0..n-1
     train_subsets: tuple      # per fold, stratified subsample of the complement
     seed: int
@@ -329,33 +330,31 @@ def _stratified_subsample(indices, labels, size, rng):
     return np.sort(np.concatenate(picked))
 
 
-def make_fold_plan(n, p, num_classes, k, labels, seed) -> FoldPlan:
-    """Stratified fold assignment plus per-fold training subsamples of
-    size min(floor(n (k-1) / k), p - 1).  Labels that do not fit n and
-    ``num_classes`` raise ShapeMismatch or EmptyClass (see
-    model.label_counts)."""
+def make_fold_plan(dataset: LabeledDataset, k, seed) -> FoldPlan:
+    """Stratified fold assignment of ``dataset`` plus per-fold training
+    subsamples of size min(floor(n (k-1) / k), p - 1)."""
+    n, labels = dataset.n, dataset.labels
     if k > n:
         raise TooManyFolds(f"k={k} exceeds n={n}")
     if k < 2:
         raise TooManyFolds("need at least 2 folds")
-    labels, _ = label_counts(labels, n, num_classes)
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xF01D)))
     assignment = np.empty(n, dtype=np.int64)
     offset = 0
-    for c in range(num_classes):
+    for c in range(dataset.num_classes):
         idx = np.flatnonzero(labels == c)
         idx = rng.permutation(idx)
         assignment[idx] = (np.arange(idx.size) + offset) % k
         offset += idx.size
     folds = tuple(np.flatnonzero(assignment == j) for j in range(k))
 
-    size = min(math.floor(n * (k - 1) / k), p - 1)
+    size = min(math.floor(n * (k - 1) / k), dataset.p - 1)
     subsets = []
     for j in range(k):
         train = np.flatnonzero(assignment != j)
         sub_rng = np.random.default_rng(np.random.SeedSequence((seed, 1 + j)))
         subsets.append(_stratified_subsample(train, labels, size, sub_rng))
-    return FoldPlan(folds=folds, train_subsets=tuple(subsets), seed=seed)
+    return FoldPlan(dataset=dataset, folds=folds, train_subsets=tuple(subsets), seed=seed)
 
 
 @dataclass(frozen=True)
@@ -481,8 +480,8 @@ def _one_blas_thread(controls):
             set_(threads)
 
 
-def sweep(dataset: LabeledDataset, algorithms, d_max, plan: FoldPlan, classifier="lda"):
-    """Error curves for every algorithm over r = 1..d_max.
+def sweep(plan: FoldPlan, algorithms, d_max, classifier="lda"):
+    """Error curves for every algorithm over r = 1..d_max on plan.dataset.
 
     ``algorithms`` are distinct tags from ALGORITHMS and ``classifier`` is
     "lda" or "qda"; anything else raises ShapeMismatch before any fit.
@@ -508,6 +507,7 @@ def sweep(dataset: LabeledDataset, algorithms, d_max, plan: FoldPlan, classifier
     restore each other's pinned count.
     """
     check_algorithms(algorithms)
+    dataset = plan.dataset
     if classifier not in ("lda", "qda"):
         raise ShapeMismatch(f"unknown classifier {classifier!r}; choose from ('lda', 'qda')")
     if not 1 <= d_max <= dataset.p - 1:
@@ -571,7 +571,8 @@ def select_rstar(curve: ErrorCurve):
     return int(ok[0]) + 1
 
 
-def _chance_rates(labels, plan):
+def _chance_rates(plan):
+    labels = plan.dataset.labels
     rates = np.empty(plan.k)
     for j in range(plan.k):
         train_labels = labels[plan.train_subsets[j]]
@@ -581,19 +582,23 @@ def _chance_rates(labels, plan):
     return rates
 
 
-def normalized_report(curves, plan: FoldPlan, dataset: LabeledDataset):
+def normalized_report(curves, plan: FoldPlan):
     """Per-algorithm r*, error at r*, and LOL-relative normalized metrics."""
     by_tag = {c.algorithm: c for c in curves}
     require_baseline(by_tag)
-    p = dataset.p
-    chance = _chance_rates(dataset.labels, plan)
+    for curve in curves:
+        if curve.rates.shape[0] != plan.k:
+            raise ShapeMismatch(f"curve {curve.algorithm!r} has {curve.rates.shape[0]} "
+                                f"folds, the plan {plan.k}")
+    p = plan.dataset.p
+    chance = _chance_rates(plan)
 
     lol_curve = by_tag["lol"]
     r_lol = select_rstar(lol_curve)
     lol_fold = lol_curve.rates[:, r_lol - 1]
 
     report = {"schema_version": SCHEMA_VERSION, "k": plan.k, "p": p,
-              "n": dataset.n, "algorithms": {}}
+              "n": plan.dataset.n, "algorithms": {}}
     flagged = []
     for curve in curves:
         tag = curve.algorithm

@@ -117,14 +117,13 @@ def cmd_bench(args):
     algs = args.algs.split(",")
     benchmark.check_algorithms(algs)
     benchmark.require_baseline(algs)
-    dataset = _load(args)
-    plan = benchmark.make_fold_plan(dataset.n, dataset.p, dataset.num_classes,
-                                    args.k, dataset.labels, args.seed)
+    plan = benchmark.make_fold_plan(_load(args), args.k, args.seed)
     d_max = args.d_max
     if d_max is None:
-        d_max = min(dataset.p - 1, 100, min(len(s) for s in plan.train_subsets) - 1)
-    curves = benchmark.sweep(dataset, algs, d_max, plan, classifier=args.classifier)
-    report = benchmark.normalized_report(curves, plan, dataset)
+        # every subsample has at most p-1 samples, so d_max <= p-2 here
+        d_max = min(100, min(len(s) for s in plan.train_subsets) - 1)
+    curves = benchmark.sweep(plan, algs, d_max, classifier=args.classifier)
+    report = benchmark.normalized_report(curves, plan)
     os.makedirs(args.output_dir, exist_ok=True)
     rows = (map(str, row) for row in benchmark.curves_rows(curves))
     _atomic_write(os.path.join(args.output_dir, "curves.csv"),
@@ -186,7 +185,7 @@ def cmd_test(args):
     for method in args.methods.split(","):
         out[method] = extensions.projected_test_power(
             spec, method, args.d, alpha=args.alpha, reps=args.reps,
-            seed=args.seed, n_per_group=args.n_per_group, split=args.split)
+            seed=args.seed, split=args.split)
     print(json.dumps({"alpha": args.alpha, "reps": args.reps, "power": out},
                      indent=2, sort_keys=True))
     return 0

@@ -69,10 +69,9 @@ def _rep_seed(seed, rep):
     return int(np.random.SeedSequence((seed, rep)).generate_state(1)[0])
 
 
-def projected_test_power(spec: SimSpec, method, d, alpha=0.05, reps=200, seed=0,
-                         n_per_group=None, split=False):
+def projected_test_power(spec: SimSpec, method, d, alpha=0.05, reps=200, seed=0, split=False):
     """Empirical rejection rate of projection + Hotelling over ``reps``
-    draws from a two-class simulation setting.
+    draws of spec.n // 2 samples per class from a two-class setting.
 
     The projection is fitted on the same sample being tested, matching
     the pipeline under study; pass ``split=True`` for the calibrated
@@ -80,7 +79,7 @@ def projected_test_power(spec: SimSpec, method, d, alpha=0.05, reps=200, seed=0,
     """
     if spec.family not in ("toeplitz_diag", "toeplitz_dense", "trunk", "stacked_cigars"):
         raise ShapeMismatch(f"unsupported testing family {spec.family!r}")
-    m = n_per_group or spec.n // 2
+    m = spec.n // 2
     if m < 2:
         raise ShapeMismatch("need at least 2 samples per group")
     if reps < 1:
@@ -169,16 +168,23 @@ def lol_regression(x: DataMatrix, y, num_bins=4, d=5, seed=0) -> EmbeddedRegress
     return _regress_on_embedding(fit_projection("lol", dataset, d, seed=seed), x, y)
 
 
+def _target(y, n):
+    """y as a length-n float64 vector; any other shape raises ShapeMismatch."""
+    yv = np.asarray(y, dtype=np.float64)
+    if yv.shape != (n,):
+        raise ShapeMismatch(f"target must be a length-{n} vector, got shape {yv.shape}")
+    return yv
+
+
 def pls1_regression(x: DataMatrix, y, d) -> EmbeddedRegression:
     """PLS1 regression baseline: PLS weight vectors against the centered
     scalar target, then least squares on the scores."""
     xv = x.values
-    yv = np.asarray(y, dtype=np.float64)
+    yv = _target(y, x.n)
     yc = yv - yv.mean()
     weights = _pls_weights(xv - xv.mean(axis=1, keepdims=True), yc[None, :], d)
     return _regress_on_embedding(Projection(weights, method_tag="pls1"), x, yv)
 
 
 def mean_squared_error(model: EmbeddedRegression, x: DataMatrix, y):
-    pred = model.predict(x)
-    return float(np.mean((pred - np.asarray(y, dtype=np.float64)) ** 2))
+    return float(np.mean((model.predict(x) - _target(y, x.n)) ** 2))

@@ -280,14 +280,11 @@ def test_criterion_10_linear_scaling(tmp_path):
 
 def test_criterion_11_hotelling_pipeline():
     spec = SimSpec("toeplitz_diag", 100, 100, seed=11)
-    power_lol = projected_test_power(spec, "lol", 5, reps=200, seed=11,
-                                     n_per_group=50)
-    power_rp = projected_test_power(spec, "rp", 5, reps=200, seed=11,
-                                    n_per_group=50)
+    power_lol = projected_test_power(spec, "lol", 5, reps=200, seed=11)
+    power_rp = projected_test_power(spec, "rp", 5, reps=200, seed=11)
     null_spec = SimSpec("toeplitz_diag", 100, 100, seed=11,
                         params={"delta_scale": 0.0})
-    null_rate = projected_test_power(null_spec, "lol", 5, reps=200, seed=11,
-                                     n_per_group=50, split=True)
+    null_rate = projected_test_power(null_spec, "lol", 5, reps=200, seed=11, split=True)
     band = 3 * np.sqrt(0.05 * 0.95 / 200)
     ok = power_lol >= power_rp + 0.02 and abs(null_rate - 0.05) <= band
     assert report(11, ok,

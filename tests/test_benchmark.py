@@ -217,21 +217,27 @@ def test_missing_tokens_in_any_case_are_the_lowercase_rule():
     assert "nOnE" in _MISSING_ANY_CASE and "N/a" in _MISSING_ANY_CASE
 
 
+def _zeros_dataset(p, labels):
+    return LabeledDataset(DataMatrix(np.zeros((p, len(labels)))), labels)
+
+
 def test_make_fold_plan_subsample_sizes():
     rng = np.random.default_rng(0)
     labels = rng.integers(0, 2, 1000)
-    plan = make_fold_plan(1000, 100, 2, 10, labels, seed=1)
+    plan = make_fold_plan(_zeros_dataset(100, labels), 10, seed=1)
     assert all(s.size == 99 for s in plan.train_subsets)
     labels = np.tile([0, 1], 10)
-    plan = make_fold_plan(20, 1000, 2, 10, labels, seed=1)
+    plan = make_fold_plan(_zeros_dataset(1000, labels), 10, seed=1)
     assert all(s.size == 18 for s in plan.train_subsets)
 
 
 def test_make_fold_plan_structure_and_determinism():
     rng = np.random.default_rng(1)
     labels = rng.integers(0, 3, 97)
-    a = make_fold_plan(97, 50, 3, 5, labels, seed=7)
-    b = make_fold_plan(97, 50, 3, 5, labels, seed=7)
+    ds = _zeros_dataset(50, labels)
+    a = make_fold_plan(ds, 5, seed=7)
+    b = make_fold_plan(ds, 5, seed=7)
+    assert a.dataset is ds
     allidx = np.sort(np.concatenate(a.folds))
     assert np.array_equal(allidx, np.arange(97))
     for j, fold in enumerate(a.folds):
@@ -241,11 +247,12 @@ def test_make_fold_plan_structure_and_determinism():
         assert np.array_equal(fold, b.folds[j])
         assert np.array_equal(a.train_subsets[j], b.train_subsets[j])
     with pytest.raises(TooManyFolds):
-        make_fold_plan(5, 10, 2, 6, np.array([0, 1] * 2 + [0]), seed=0)
+        make_fold_plan(_zeros_dataset(10, [0, 1] * 2 + [0]), 6, seed=0)
+    # labels that do not fit are refused by the dataset a plan is made from
     with pytest.raises(ShapeMismatch):
-        make_fold_plan(10, 5, 2, 2, [0, 1], 0)
+        LabeledDataset(DataMatrix(np.zeros((5, 10))), [0, 1], 2)
     with pytest.raises(EmptyClass):
-        make_fold_plan(4, 5, 2, 2, [0, 1, 2, 0], 0)
+        LabeledDataset(DataMatrix(np.zeros((5, 4))), [0, 1, 2, 0], 2)
 
 
 def _curve(means):
@@ -270,9 +277,9 @@ def trunk_dataset(p=30, n=120, seed=0):
 
 def test_sweep_basic_and_deterministic():
     ds = trunk_dataset()
-    plan = make_fold_plan(ds.n, ds.p, 2, 4, ds.labels, seed=2)
-    curves1 = sweep(ds, ["lol", "pca", "cca"], 6, plan)
-    curves2 = sweep(ds, ["lol", "pca", "cca"], 6, plan)
+    plan = make_fold_plan(ds, 4, seed=2)
+    curves1 = sweep(plan, ["lol", "pca", "cca"], 6)
+    curves2 = sweep(plan, ["lol", "pca", "cca"], 6)
     for c1, c2 in zip(curves1, curves2):
         assert np.array_equal(c1.rates, c2.rates, equal_nan=True)
     lol = curves1[0]
@@ -285,8 +292,8 @@ def test_sweep_basic_and_deterministic():
 
 def test_sweep_prefix_reuse_matches_per_r_refits():
     ds = trunk_dataset(p=15, n=80, seed=3)
-    plan = make_fold_plan(ds.n, ds.p, 2, 3, ds.labels, seed=3)
-    curves = sweep(ds, ["lol"], 5, plan)
+    plan = make_fold_plan(ds, 3, seed=3)
+    curves = sweep(plan, ["lol"], 5)
     from lolkit.classifiers import class_moments, fit_lda, misclassification_rate, predict_lda
     from lolkit.embeddings import embed
     for j in range(plan.k):
@@ -332,34 +339,34 @@ def test_no_fit_returns_more_columns_than_features(tag):
 
 def test_sweep_rejects_unknown_tag_before_fitting(monkeypatch):
     ds = trunk_dataset(p=15, n=80, seed=3)
-    plan = make_fold_plan(ds.n, ds.p, 2, 3, ds.labels, seed=3)
+    plan = make_fold_plan(ds, 3, seed=3)
     monkeypatch.setitem(benchmark._SEEDED_FITS, "lol", None)  # would fail if called
     with pytest.raises(ShapeMismatch, match="'foo'.*choose from"):
-        sweep(ds, ["lol", "foo"], 4, plan)
+        sweep(plan, ["lol", "foo"], 4)
 
 
 def test_sweep_rejects_a_repeated_tag_before_fitting(monkeypatch):
     ds = trunk_dataset(p=15, n=80, seed=3)
-    plan = make_fold_plan(ds.n, ds.p, 2, 3, ds.labels, seed=3)
+    plan = make_fold_plan(ds, 3, seed=3)
     monkeypatch.setitem(benchmark._SEEDED_FITS, "lol", None)  # would fail if called
     monkeypatch.setitem(benchmark._SEEDED_FITS, "pca", None)
     with pytest.raises(ShapeMismatch, match="'pca' listed twice"):
-        sweep(ds, ["pca", "lol", "pca"], 4, plan)
+        sweep(plan, ["pca", "lol", "pca"], 4)
 
 
 def test_sweep_rejects_an_unknown_classifier_before_fitting(monkeypatch):
     ds = trunk_dataset(p=15, n=80, seed=3)
-    plan = make_fold_plan(ds.n, ds.p, 2, 3, ds.labels, seed=3)
+    plan = make_fold_plan(ds, 3, seed=3)
     monkeypatch.setitem(benchmark._SEEDED_FITS, "lol", None)  # would fail if called
     for classifier in ("svm", "LDA", None):
         with pytest.raises(ShapeMismatch, match=f"unknown classifier {classifier!r}"):
-            sweep(ds, ["lol"], 4, plan, classifier=classifier)
+            sweep(plan, ["lol"], 4, classifier=classifier)
 
 
 def test_sweep_records_linalg_failures_as_missing_cells(monkeypatch):
     ds = trunk_dataset(p=15, n=80, seed=3)
-    plan = make_fold_plan(ds.n, ds.p, 2, 3, ds.labels, seed=3)
-    baseline = sweep(ds, ["lol", "pca"], 5, plan)
+    plan = make_fold_plan(ds, 3, seed=3)
+    baseline = sweep(plan, ["lol", "pca"], 5)
     real_fit_lda = benchmark.fit_lda
 
     def fit_lda_failing_at_r3(moments):
@@ -368,7 +375,7 @@ def test_sweep_records_linalg_failures_as_missing_cells(monkeypatch):
         return real_fit_lda(moments)
 
     monkeypatch.setattr(benchmark, "fit_lda", fit_lda_failing_at_r3)
-    curves = sweep(ds, ["lol", "pca"], 5, plan)
+    curves = sweep(plan, ["lol", "pca"], 5)
     for got, want in zip(curves, baseline):
         assert np.all(np.isnan(got.rates[:, 2]))
         keep = [0, 1, 3, 4]
@@ -379,7 +386,7 @@ def test_sweep_records_linalg_failures_as_missing_cells(monkeypatch):
         raise np.linalg.LinAlgError("SVD did not converge")
 
     monkeypatch.setitem(benchmark._SEEDED_FITS, "pca", failing_fit)
-    lol, pca = sweep(ds, ["lol", "pca"], 5, plan)
+    lol, pca = sweep(plan, ["lol", "pca"], 5)
     assert np.all(np.isnan(pca.rates))
     assert np.isfinite(lol.rates[:, 0]).all()
 
@@ -389,32 +396,43 @@ def test_sweep_records_linalg_failures_as_missing_cells(monkeypatch):
 def test_sweep_records_an_overflowing_covariance_as_missing_cells():
     ds = trunk_dataset(p=6, n=40, seed=3)
     big = LabeledDataset(DataMatrix(ds.data.values * 1e160), ds.labels, 2)
-    plan = make_fold_plan(big.n, big.p, 2, 2, big.labels, seed=3)
+    plan = make_fold_plan(big, 2, seed=3)
     for classifier in ("lda", "qda"):
-        (pca,) = sweep(big, ["pca"], 3, plan, classifier=classifier)
+        (pca,) = sweep(plan, ["pca"], 3, classifier=classifier)
         assert np.all(np.isnan(pca.rates)), classifier
 
 
 def test_normalized_report_identical_to_lol_is_zero():
     ds = trunk_dataset(p=20, n=100, seed=4)
-    plan = make_fold_plan(ds.n, ds.p, 2, 4, ds.labels, seed=4)
-    curves = sweep(ds, ["lol"], 5, plan)
+    plan = make_fold_plan(ds, 4, seed=4)
+    curves = sweep(plan, ["lol"], 5)
     twin = ErrorCurve(algorithm="twin", rates=curves[0].rates.copy())
-    report = normalized_report([curves[0], twin], plan, ds)
+    report = normalized_report([curves[0], twin], plan)
     entry = report["algorithms"]["twin"]
     assert entry["norm_embedding_dim"] == 0.0
     assert abs(entry["norm_error_mean"]) < 1e-12
     assert abs(entry["norm_error_median"]) < 1e-12
     with pytest.raises(NoBaseline):
-        normalized_report([twin], plan, ds)
+        normalized_report([twin], plan)
+
+
+def test_normalized_report_rejects_a_curve_of_another_fold_count():
+    ds = trunk_dataset(p=10, n=40, seed=5)
+    plan = make_fold_plan(ds, 3, seed=5)
+    lol = ErrorCurve("lol", np.full((3, 2), 0.1))
+    with pytest.raises(ShapeMismatch, match="'lol' has 5 folds, the plan 3"):
+        normalized_report([ErrorCurve("lol", np.full((5, 2), 0.1))], plan)
+    with pytest.raises(ShapeMismatch, match="'pca' has 2 folds"):
+        normalized_report([lol, ErrorCurve("pca", np.full((2, 2), 0.1))], plan)
+    assert normalized_report([lol], plan)["n"] == 40
 
 
 def test_normalized_report_hand_computed_two_folds():
     ds = trunk_dataset(p=10, n=40, seed=5)
-    plan = make_fold_plan(ds.n, ds.p, 2, 2, ds.labels, seed=5)
+    plan = make_fold_plan(ds, 2, seed=5)
     lol = ErrorCurve("lol", np.array([[0.2, 0.1], [0.3, 0.2]]))
     other = ErrorCurve("other", np.array([[0.4, 0.5], [0.2, 0.6]]))
-    report = normalized_report([lol, other], plan, ds)
+    report = normalized_report([lol, other], plan)
     # r*: lol argmin col2 (0.15) -> r*=2; other argmin col1 (0.3) -> r*=1
     assert report["algorithms"]["lol"]["r_star"] == 2
     assert report["algorithms"]["other"]["r_star"] == 1
@@ -429,11 +447,11 @@ def test_normalized_report_hand_computed_two_folds():
 
 def test_report_json_roundtrip_byte_identical():
     ds = trunk_dataset(p=25, n=90, seed=6)
-    plan = make_fold_plan(ds.n, ds.p, 2, 3, ds.labels, seed=6)
+    plan = make_fold_plan(ds, 3, seed=6)
 
     def run():
-        curves = sweep(ds, ["lol", "pca", "rp"], 6, plan)
-        report = normalized_report(curves, plan, ds)
+        curves = sweep(plan, ["lol", "pca", "rp"], 6)
+        report = normalized_report(curves, plan)
         return json.dumps(report, sort_keys=True), curves_rows(curves)
 
     a, rows_a = run()
@@ -495,9 +513,9 @@ def _threads_seen_by_cells(monkeypatch, controls):
 def test_sweep_runs_cells_at_one_thread_and_restores(monkeypatch, blas_at_two_threads):
     controls = blas_at_two_threads
     ds = trunk_dataset(p=15, n=80, seed=3)
-    plan = make_fold_plan(ds.n, ds.p, 2, 3, ds.labels, seed=3)
+    plan = make_fold_plan(ds, 3, seed=3)
     seen = _threads_seen_by_cells(monkeypatch, controls)
-    sweep(ds, ["lol", "pca"], 4, plan)
+    sweep(plan, ["lol", "pca"], 4)
     assert set(seen) == {(1,) * len(controls)}
     assert len(seen) == 2 * plan.k * 4
     assert _threads(controls) == [2] * len(controls)
@@ -506,7 +524,7 @@ def test_sweep_runs_cells_at_one_thread_and_restores(monkeypatch, blas_at_two_th
 def test_sweep_fits_every_projection_but_cca_at_one_thread(monkeypatch, blas_at_two_threads):
     controls = blas_at_two_threads
     ds = sample(SimSpec("trunk3", 40, 120, seed=8)).dataset
-    plan = make_fold_plan(ds.n, ds.p, ds.num_classes, 3, ds.labels, seed=8)
+    plan = make_fold_plan(ds, 3, seed=8)
     seen = {tag: [] for tag in ALGORITHMS}
     # the "lol" entry is emb.fit_lol itself, so spy through the registry
     for tag, fit in list(benchmark._SEEDED_FITS.items()):
@@ -515,7 +533,7 @@ def test_sweep_fits_every_projection_but_cca_at_one_thread(monkeypatch, blas_at_
             return _fit(*args, **kwargs)
 
         monkeypatch.setitem(benchmark._SEEDED_FITS, tag, recording_fit)
-    sweep(ds, ALGORITHMS, 4, plan)
+    sweep(plan, ALGORITHMS, 4)
     one, default = (1,) * len(controls), (2,) * len(controls)
     assert seen == {tag: [default if tag == "cca" else one] * plan.k for tag in ALGORITHMS}
     assert _threads(controls) == [2] * len(controls)
@@ -523,7 +541,7 @@ def test_sweep_fits_every_projection_but_cca_at_one_thread(monkeypatch, blas_at_
 
 def test_sweep_runs_one_class_centered_svd_per_fold(monkeypatch):
     ds = trunk_dataset(p=15, n=80, seed=3)
-    plan = make_fold_plan(ds.n, ds.p, 2, 3, ds.labels, seed=3)
+    plan = make_fold_plan(ds, 3, seed=3)
     calls = []
     for module in (model, emb):
         real = module.truncated_svd
@@ -533,7 +551,7 @@ def test_sweep_runs_one_class_centered_svd_per_fold(monkeypatch):
             return _real(values, *args, **kwargs)
 
         monkeypatch.setattr(module, "truncated_svd", counting_svd)
-    lol, rrlda = sweep(ds, ["lol", "rrlda"], 5, plan)
+    lol, rrlda = sweep(plan, ["lol", "rrlda"], 5)
     assert calls == [(ds.p, len(tr)) for tr in plan.train_subsets]
     assert np.isfinite(lol.rates).all() and np.isfinite(rrlda.rates).all()
 
@@ -541,11 +559,11 @@ def test_sweep_runs_one_class_centered_svd_per_fold(monkeypatch):
 def test_sweep_without_openblas_leaves_threads_alone(monkeypatch, blas_at_two_threads):
     controls = blas_at_two_threads
     ds = trunk_dataset(p=15, n=80, seed=3)
-    plan = make_fold_plan(ds.n, ds.p, 2, 3, ds.labels, seed=3)
-    pinned = sweep(ds, ["lol"], 4, plan)
+    plan = make_fold_plan(ds, 3, seed=3)
+    pinned = sweep(plan, ["lol"], 4)
     monkeypatch.setattr(benchmark, "_openblas_thread_controls", lambda: [])
     seen = _threads_seen_by_cells(monkeypatch, controls)
-    (unpinned,) = sweep(ds, ["lol"], 4, plan)
+    (unpinned,) = sweep(plan, ["lol"], 4)
     assert set(seen) == {(2,) * len(controls)}
     assert np.array_equal(unpinned.rates, pinned[0].rates)
 
@@ -553,10 +571,10 @@ def test_sweep_without_openblas_leaves_threads_alone(monkeypatch, blas_at_two_th
 @pytest.mark.parametrize("classifier", ["lda", "qda"])
 def test_sweep_curves_do_not_depend_on_the_pin(monkeypatch, classifier):
     ds = sample(SimSpec("trunk3", 40, 120, seed=8)).dataset
-    plan = make_fold_plan(ds.n, ds.p, ds.num_classes, 3, ds.labels, seed=8)
-    pinned = sweep(ds, ALGORITHMS, 8, plan, classifier=classifier)
+    plan = make_fold_plan(ds, 3, seed=8)
+    pinned = sweep(plan, ALGORITHMS, 8, classifier=classifier)
     monkeypatch.setattr(benchmark, "_one_blas_thread", contextlib.nullcontext)
-    unpinned = sweep(ds, ALGORITHMS, 8, plan, classifier=classifier)
+    unpinned = sweep(plan, ALGORITHMS, 8, classifier=classifier)
     for got, want in zip(pinned, unpinned):
         assert got.algorithm == want.algorithm
         assert np.array_equal(got.rates, want.rates, equal_nan=True), got.algorithm

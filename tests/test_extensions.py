@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from lolkit.errors import DegenerateTarget, UnderdeterminedTest, TooManyBins
+from lolkit.errors import DegenerateTarget, ShapeMismatch, UnderdeterminedTest, TooManyBins
 from lolkit.extensions import (
     hotelling_two_sample,
     lol_regression,
@@ -91,12 +91,10 @@ def test_hotelling_level_calibration():
 
 def test_projected_test_power_null_and_alternative():
     null_spec = SimSpec("toeplitz_diag", 30, 60, seed=0, params={"delta_scale": 0.0})
-    power_null = projected_test_power(null_spec, "rp", 3, reps=200, seed=1,
-                                      n_per_group=30, split=True)
+    power_null = projected_test_power(null_spec, "rp", 3, reps=200, seed=1, split=True)
     assert abs(power_null - 0.05) < 3 * np.sqrt(0.05 * 0.95 / 200) + 0.01
     alt_spec = SimSpec("toeplitz_diag", 30, 60, seed=0, params={"delta_scale": 6.0})
-    power_alt = projected_test_power(alt_spec, "lol", 3, reps=100, seed=1,
-                                     n_per_group=30)
+    power_alt = projected_test_power(alt_spec, "lol", 3, reps=100, seed=1)
     assert power_alt > power_null + 0.3
 
 
@@ -105,13 +103,12 @@ def test_projected_test_power_monotone_in_separation():
     for scale in (0.5, 3.0, 8.0):
         spec = SimSpec("toeplitz_diag", 20, 40, seed=0,
                        params={"delta_scale": scale})
-        powers.append(projected_test_power(spec, "lol", 2, reps=80, seed=2,
-                                           n_per_group=20))
+        powers.append(projected_test_power(spec, "lol", 2, reps=80, seed=2))
     assert powers[0] <= powers[1] + 0.05 <= powers[2] + 0.10
     # determinism
     again = projected_test_power(SimSpec("toeplitz_diag", 20, 40, seed=0,
                                          params={"delta_scale": 3.0}),
-                                 "lol", 2, reps=80, seed=2, n_per_group=20)
+                                 "lol", 2, reps=80, seed=2)
     assert again == powers[1]
 
 
@@ -184,3 +181,16 @@ def test_pls1_regression_constant_target_is_degenerate():
     x = DataMatrix(np.random.default_rng(6).standard_normal((4, 20)))
     with pytest.raises(DegenerateTarget, match="zero cross-product"):
         pls1_regression(x, np.full(20, 3.0), 2)
+
+
+def test_regression_targets_of_another_length_are_refused():
+    rng = np.random.default_rng(7)
+    x = DataMatrix(rng.standard_normal((4, 12)))
+    y = rng.standard_normal(12)
+    with pytest.raises(ShapeMismatch, match="length-12"):
+        pls1_regression(x, y[:5], 2)
+    model = pls1_regression(x, y, 2)
+    with pytest.raises(ShapeMismatch, match="length-12"):
+        mean_squared_error(model, x, y[:5])
+    with pytest.raises(ShapeMismatch, match="length-12"):
+        lol_regression(x, y[:5], num_bins=2, d=2)

@@ -107,7 +107,7 @@ def cv_qda_folds(seed):
     """cv_qda's (train dataset, test matrix, test labels) per fold: trunk3,
     p=1000, n=225, k=5, each train fold subsampled as ``lolkit bench`` does."""
     ds = sample(SimSpec("trunk3", 1000, 225, seed, {})).dataset
-    plan = make_fold_plan(ds.n, ds.p, ds.num_classes, 5, ds.labels, seed)
+    plan = make_fold_plan(ds, 5, seed)
     x, y = ds.data.values, ds.labels
     return [(LabeledDataset(DataMatrix(x[:, tr]), y[tr], ds.num_classes),
              DataMatrix(x[:, te]), y[te])

@@ -90,7 +90,7 @@ FIXTURES = {
 def _fixture(name, seed=0):
     family, p, n, k, d_max = FIXTURES[name]
     ds = sample(SimSpec(family, p, n, seed=seed)).dataset
-    plan = make_fold_plan(ds.n, ds.p, ds.num_classes, k, ds.labels, seed=seed)
+    plan = make_fold_plan(ds, k, seed=seed)
     return ds, plan, d_max
 
 
@@ -98,7 +98,7 @@ def _fixture(name, seed=0):
 @pytest.mark.parametrize("name", sorted(FIXTURES))
 def test_sweep_curves_equal_the_per_r_loop(name, classifier):
     ds, plan, d_max = _fixture(name)
-    got = sweep(ds, ALGORITHMS, d_max, plan, classifier=classifier)
+    got = sweep(plan, ALGORITHMS, d_max, classifier=classifier)
     want = reference_sweep(ds, ALGORITHMS, d_max, plan, classifier=classifier)
     for g, w in zip(got, want):
         assert g.algorithm == w.algorithm
@@ -133,5 +133,5 @@ def test_sweep_embeds_each_fold_at_most_four_times(monkeypatch):
         return real_embed(proj, m)
 
     monkeypatch.setattr(emb, "embed", counting_embed)
-    sweep(ds, ALGORITHMS, d_max, plan, classifier="qda")
+    sweep(plan, ALGORITHMS, d_max, classifier="qda")
     assert 0 < len(calls) <= 4 * plan.k * len(ALGORITHMS)
