@@ -40,6 +40,7 @@ from .errors import (
     ShapeMismatch,
     TooManyFolds,
 )
+from .linalg import seed_sequence
 from .model import DataMatrix, LabeledDataset
 
 SCHEMA_VERSION = 1
@@ -75,8 +76,9 @@ def load_csv(path, label_column) -> LoadedCsv:
     is one-hot encoded when it has fewer than ONE_HOT_THRESHOLD distinct
     cells, and otherwise raises ParseFailure.  ``label_column`` is a header
     name or integer index.  A plain numeric file is parsed by numpy's C
-    tokenizer, which gives the values float() gives (see _numeric_table);
-    every other file, such as one with missing entries, categorical
+    tokenizer, which gives the values float() gives, also when some rows
+    hold a ``nan`` cell or a missing label (see _numeric_table); every
+    other file, such as one with other missing entries, categorical
     columns, quoted fields or cells like ``1_000``, is parsed row by row as
     it is read (see _FeatureRows), so its cells are never all held as
     strings at once.  The input is read once, so it may be a pipe.
@@ -100,7 +102,7 @@ def load_csv(path, label_column) -> LoadedCsv:
             if label_error is None:
                 numeric = _numeric_table(fh, delimiter, len(header), label_idx)
             if numeric is not None:
-                n_rows = len(numeric[0])
+                n_rows = numeric[2]
             else:
                 table = None if label_error is not None else _FeatureRows(len(header), label_idx)
                 reader = csv.reader(fh, delimiter=delimiter)
@@ -164,18 +166,23 @@ def load_csv(path, label_column) -> LoadedCsv:
 
 
 def _numeric_table(fh, delimiter, width, label_idx):
-    """(label cells, p x n float64 matrix) of the rows left in ``fh``,
-    parsed by np.loadtxt, or None with ``fh`` rewound when numpy cannot
-    give exactly what _FeatureRows gives.
+    """(label cells, p x n float64 matrix, rows read) of the complete rows
+    left in ``fh``, parsed by np.loadtxt, or None with ``fh`` rewound when
+    numpy cannot give exactly what _FeatureRows gives.
 
     numpy parses a field with PyOS_string_to_double after stripping the
     characters str.strip() strips, which is the conversion float() makes.
     The forms float() accepts and numpy rejects (``1_000``, non-ASCII
-    digits, quoted cells, missing tokens) make the call fail.  A result is
-    kept only when it is complete, has no NaN, no missing or quoted label
+    digits, quoted cells, missing tokens other than ``nan``) make the call
+    fail.  A result is kept only when it is complete, has no quoted label
     and no field over csv.field_size_limit().  Every feature cell of a kept
-    result parsed, so no column is one-hot.  A stream that cannot be
-    rewound, such as a pipe, is left to _FeatureRows.
+    result parsed, so no column is one-hot.  A row whose label is a
+    missing token is dropped, as _FeatureRows drops it.  So is a row
+    holding a NaN that came from a missing token (``nan``, ``NaN``):
+    only those rows' lines are looked at again, as text (see
+    _rows_with_missing_cells), and a NaN from ``+nan`` or ``-nan`` stays.
+    A stream that cannot be rewound, such as a pipe, is left to
+    _FeatureRows.
     """
     if not fh.seekable():
         return None
@@ -200,13 +207,46 @@ def _numeric_table(fh, delimiter, width, label_idx):
     except (ValueError, Warning):
         data = None
     if data is not None and data.shape[1] == width and len(data) >= 2 \
-            and _MISSING_ANY_CASE.isdisjoint(label_codes) and not any('"' in v for v in label_codes):
+            and not any('"' in v for v in label_codes):
+        n_read = len(data)
+        codes = data[:, label_idx].astype(np.intp)
+        drop = np.isin(codes, [c for v, c in label_codes.items() if v in _MISSING_ANY_CASE])
+        # the label column holds codes, so a NaN is a feature's
+        if np.isnan(data).any():
+            nan_rows = np.flatnonzero(np.isnan(data).any(axis=1) & ~drop)
+            if nan_rows.size:
+                missing = _rows_with_missing_cells(fh, start, delimiter, nan_rows, n_read)
+                if missing is None:
+                    fh.seek(start)
+                    return None
+                drop[missing] = True
+        if drop.any():
+            data, codes = data[~drop], codes[~drop]
         x = data.T[[j for j in range(width) if j != label_idx]]  # C-contiguous p x n
-        if not np.isnan(x).any():
-            cells = list(label_codes)
-            return [cells[code] for code in data[:, label_idx].astype(np.intp).tolist()], x
+        cells = list(label_codes)
+        return [cells[code] for code in codes.tolist()], x, n_read
     fh.seek(start)
     return None
+
+
+def _rows_with_missing_cells(fh, start, delimiter, rows, n_rows):
+    """The entries of ``rows``, indices of the data rows that np.loadtxt
+    read from ``start``, whose line holds a missing token in some cell.
+    The lines are split, not parsed: numpy took no quote character, so a
+    line's cells are its delimiter-separated fields.  None when the
+    non-empty lines, the ones numpy reads, do not number ``n_rows``."""
+    fh.seek(start)
+    wanted = set(rows.tolist())
+    found = []
+    i = 0
+    for line in fh:
+        if line[0] in "\r\n":  # a line is empty when it starts with its terminator
+            continue
+        # str.strip also takes the last cell's line terminator
+        if i in wanted and not _MISSING_ANY_CASE.isdisjoint(map(str.strip, line.split(delimiter))):
+            found.append(i)
+        i += 1
+    return found if i == n_rows else None
 
 
 def _label_index(header, label_column):
@@ -338,7 +378,7 @@ def make_fold_plan(dataset: LabeledDataset, k, seed) -> FoldPlan:
         raise TooManyFolds(f"k={k} exceeds n={n}")
     if k < 2:
         raise TooManyFolds("need at least 2 folds")
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 0xF01D)))
+    rng = np.random.default_rng(seed_sequence(seed, 0xF01D))
     assignment = np.empty(n, dtype=np.int64)
     offset = 0
     for c in range(dataset.num_classes):
@@ -352,7 +392,7 @@ def make_fold_plan(dataset: LabeledDataset, k, seed) -> FoldPlan:
     subsets = []
     for j in range(k):
         train = np.flatnonzero(assignment != j)
-        sub_rng = np.random.default_rng(np.random.SeedSequence((seed, 1 + j)))
+        sub_rng = np.random.default_rng(seed_sequence(seed, 1 + j))
         subsets.append(_stratified_subsample(train, labels, size, sub_rng))
     return FoldPlan(dataset=dataset, folds=folds, train_subsets=tuple(subsets), seed=seed)
 

@@ -49,10 +49,15 @@ def _check_pd(cov, name, mean_shape):
 
 
 def chernoff_divergence_t(f0, f1, t):
-    """Chernoff divergence C_t between Gaussians f = (mean, covariance)."""
+    """Chernoff divergence C_t between Gaussians f = (mean, covariance).
+    Means of different shapes raise ShapeMismatch."""
     mu0, sig0 = f0
     mu1, sig1 = f1
-    diff = np.asarray(mu1, dtype=np.float64) - np.asarray(mu0, dtype=np.float64)
+    mu0 = np.asarray(mu0, dtype=np.float64)
+    mu1 = np.asarray(mu1, dtype=np.float64)
+    if mu0.shape != mu1.shape:
+        raise ShapeMismatch(f"the means have shapes {mu0.shape} and {mu1.shape}")
+    diff = mu1 - mu0
     sig0, _, logdet0 = _check_pd(sig0, "Sigma0", diff.shape)
     sig1, _, logdet1 = _check_pd(sig1, "Sigma1", diff.shape)
     _, chol_t, logdet_t = _check_pd(t * sig0 + (1.0 - t) * sig1,
@@ -150,7 +155,9 @@ def _lol_quadform(delta, sigma, d):
     gamma = float(delta @ sigma @ delta) - float(
         np.sum((ud1.T @ delta) ** 2 * lam[: d - 1])
     )
-    if gamma < 1e-14 * (delta @ delta) * lam[0]:
+    # gamma must be positive: the bound is 0 for a zero Sigma, and abs keeps
+    # it from going negative for an indefinite one
+    if gamma <= 1e-14 * (delta @ delta) * abs(lam[0]):
         raise DegenerateGamma("delta lies in the span of the top d-1 eigenvectors")
     return num * num / gamma + _truncated_pinv_quad(delta, lam, u, d - 1), lam, u
 
@@ -182,8 +189,10 @@ def lol_vs_pca_gap(delta, sigma, d):
 
 
 def pooled_top_eigvecs(delta, sigma, d):
-    """Top-d eigenvectors of Sigma + delta delta'/4 (the PCA map)."""
-    pooled = np.asarray(sigma, dtype=np.float64) + 0.25 * np.outer(delta, delta)
+    """Top-d eigenvectors of Sigma + delta delta'/4 (the PCA map).  Inputs
+    are checked as the gaps check them (see _gap_inputs)."""
+    delta, sigma = _gap_inputs(delta, sigma, d)
+    pooled = sigma + 0.25 * np.outer(delta, delta)
     _, u = _eigh_desc(pooled)
     return u[:, :d]
 

@@ -13,10 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import ShapeMismatch, SingularProjectedCov, UnderdeterminedClassifier
-from .linalg import _cholesky, _factor, _project, _solve
+from .linalg import _cholesky, _factor, _project, _solve, seed_sequence
 from .model import DataMatrix, GaussianModel, as_matrix, cov_as_dense, gaussian_noise, label_counts
 
 RIDGE_REL = 1e-8
@@ -164,6 +163,8 @@ def bayes_error_two_class(model: GaussianModel, proj=None):
         except np.linalg.LinAlgError as exc:
             raise SingularProjectedCov(str(exc)) from exc
         quad = float(delta @ _solve(chol, delta))
+    # imported here, not at module level: scipy.special adds about 4 MB to every process
+    from scipy.special import ndtr
     return float(ndtr(-0.5 * np.sqrt(quad)))
 
 
@@ -175,8 +176,11 @@ def _sample_class(model: GaussianModel, c, n, rng):
 def bayes_error_monte_carlo(model: GaussianModel, proj=None, n_samples=100_000, seed=0):
     """Monte Carlo Bayes error of the population-parameter classifier,
     optionally in a projected space.  Returns (estimate, standard_error).
+    An n_samples below 1 raises ShapeMismatch.
     """
-    rng = np.random.default_rng(seed)
+    if n_samples < 1:
+        raise ShapeMismatch(f"n_samples={n_samples} must be at least 1")
+    rng = np.random.default_rng(seed_sequence(seed))
     c = model.num_classes
     counts = rng.multinomial(n_samples, model.priors)
     a = None if proj is None else as_matrix(proj)

@@ -22,6 +22,7 @@ from . import benchmark, embeddings, extensions, simulations
 from .chernoff import lol_vs_lda_gap, lol_vs_pca_gap, projected_chernoff_quadform, pooled_top_eigvecs
 from .errors import LolkitError, ParseFailure
 from .files import _atomic_write
+from .linalg import seed_sequence
 from .model import DataMatrix, LabeledDataset
 
 
@@ -136,7 +137,7 @@ def cmd_chernoff(args):
     if args.instances < 1 or args.max_p < 2:
         raise ParseFailure(f"need --instances >= 1 and --max-p >= 2, got "
                            f"{args.instances} and {args.max_p}")
-    rng = np.random.default_rng(args.seed)
+    rng = np.random.default_rng(seed_sequence(args.seed))
     worst_lda = np.inf
     worst_pca = np.inf
     worst_mismatch = 0.0
@@ -240,7 +241,7 @@ def cmd_scale(args):
     rows = []
     prev = None
     for p in ps:
-        rng = np.random.default_rng(args.seed)
+        rng = np.random.default_rng(seed_sequence(args.seed))
         labels = (rng.random(args.n) < 0.5).astype(np.int64)
         x = rng.standard_normal((p, args.n))
         dataset = LabeledDataset(DataMatrix(x), labels, 2)

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import fdtrc
 
 from .benchmark import fit_projection
 from .classifiers import _sample_class
@@ -22,6 +21,7 @@ from .errors import (
     TooManyBins,
     UnderdeterminedTest,
 )
+from .linalg import seed_sequence
 from .model import DataMatrix, LabeledDataset, Projection
 from .simulations import SimSpec, population_model
 
@@ -57,6 +57,9 @@ def hotelling_two_sample(e0: DataMatrix, e1: DataMatrix) -> HotellingResult:
     df1 = d
     df2 = n0 + n1 - d - 1
     f_stat = t2 * df2 / (d * (n0 + n1 - 2))
+    # imported here, not at module level: scipy.special adds about 4 MB to every process
+    from scipy.special import fdtrc
+
     # fdtrc is the F survival function that scipy.stats' f.sf evaluates;
     # like f.sf, give 1.0 at F <= 0, where fdtrc gives NaN below 0 (solve
     # can return a T^2 just under 0); NaN stays NaN and +inf gives 0.0
@@ -66,7 +69,7 @@ def hotelling_two_sample(e0: DataMatrix, e1: DataMatrix) -> HotellingResult:
 
 
 def _rep_seed(seed, rep):
-    return int(np.random.SeedSequence((seed, rep)).generate_state(1)[0])
+    return int(seed_sequence(seed, rep).generate_state(1)[0])
 
 
 def projected_test_power(spec: SimSpec, method, d, alpha=0.05, reps=200, seed=0, split=False):
@@ -88,7 +91,7 @@ def projected_test_power(spec: SimSpec, method, d, alpha=0.05, reps=200, seed=0,
     for rep in range(reps):
         rs = _rep_seed(seed, rep)
         model = population_model(SimSpec(spec.family, spec.p, 2, rs, dict(spec.params)))
-        rng = np.random.default_rng(np.random.SeedSequence((seed, rep, 1)))
+        rng = np.random.default_rng(seed_sequence(seed, rep, 1))
         x0 = _sample_class(model, 0, m, rng)
         x1 = _sample_class(model, 1, m, rng)
         if split:

@@ -1,6 +1,6 @@
 """Shared numerical primitives.
 
-Truncated SVD (exact and Halko-style randomized), very sparse random
+Seeds, truncated SVD (exact and Halko-style randomized), very sparse random
 projection columns, Haar-uniform rotations, the implicit-operator
 eigensolver used by low-rank CCA, and the Cholesky, solve and Gaussian
 projection that the classifiers and the Chernoff theory share.
@@ -45,6 +45,16 @@ def _fix_signs(U, *others):
     return (U * flip, *(m * flip for m in others))
 
 
+def seed_sequence(seed, *keys):
+    """The SeedSequence of ``seed`` alone, or of (seed, *keys): the one place
+    a lolkit seed becomes numpy entropy.  ``default_rng(seed_sequence(s))``
+    gives the stream ``default_rng(s)`` gives.  A seed that is not a
+    non-negative Python or numpy integer raises ShapeMismatch."""
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ShapeMismatch(f"seed must be a non-negative integer, got {seed!r}")
+    return np.random.SeedSequence((seed, *keys) if keys else seed)
+
+
 def resolve_svd_mode(k, p, n, mode):
     """The path a rank-k truncated SVD of a p x n matrix takes under
     ``mode``: "auto" resolves to "exact" when min(p, n) <=
@@ -78,7 +88,7 @@ def truncated_svd(values, k, mode="auto", seed=0, oversample=10):
         u, v = _fix_signs(u[:, :k], vt[:k].T)
         return SvdResult(U=u, S=s[:k], V=v)
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed_sequence(seed))
     ell = min(k + oversample, min(p, n))
     omega = rng.standard_normal((n, ell))
     y = m @ omega
@@ -102,7 +112,7 @@ def sparse_random_columns(p, k, seed):
     """
     if p < 1 or k < 1:
         raise RankRequestTooLarge(f"need p,k >= 1, got p={p}, k={k}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed_sequence(seed))
     s = np.sqrt(p)
     root_s = np.sqrt(s)
     half = 1.0 / (2.0 * s)
@@ -113,7 +123,7 @@ def sparse_random_columns(p, k, seed):
 
 def random_rotation(p, seed):
     """Haar-uniform rotation matrix (orthogonal, det = +1)."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed_sequence(seed))
     g = rng.standard_normal((p, p))
     q, r = np.linalg.qr(g)
     d = np.sign(np.diag(r))

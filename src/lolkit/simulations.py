@@ -15,7 +15,7 @@ from scipy.linalg import toeplitz
 
 from .classifiers import bayes_error_monte_carlo, bayes_error_two_class
 from .errors import BadRho, PTooSmall, ShapeMismatch
-from .linalg import random_rotation
+from .linalg import random_rotation, seed_sequence
 from .model import DataMatrix, GaussianModel, LabeledDataset, gaussian_noise
 
 FAMILIES = (
@@ -196,13 +196,13 @@ def _build_model(spec: SimSpec, rng) -> GaussianModel:
 def population_model(spec: SimSpec) -> GaussianModel:
     """The exact population model a spec samples from, without drawing
     any data (same seed gives the same model as :func:`sample`)."""
-    return _build_model(spec, np.random.default_rng(spec.seed))
+    return _build_model(spec, np.random.default_rng(seed_sequence(spec.seed)))
 
 
 def sample(spec: SimSpec) -> SimSample | RegressionSample:
     """Draw n iid samples from the family's mixture; returns the data and
     the exact population parameters used."""
-    rng = np.random.default_rng(spec.seed)
+    rng = np.random.default_rng(seed_sequence(spec.seed))
     p, n = spec.p, spec.n
     prm = spec.params
 

@@ -18,5 +18,8 @@ def test_lolkit_and_its_cli_do_not_import_scipy_stats():
     out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=SRC),
                          check=True, capture_output=True, text=True).stdout
     loaded = json.loads(out)
-    assert "scipy.linalg" in loaded and "scipy.special" in loaded
-    assert [m for m in loaded if m == "scipy.stats" or m.startswith("scipy.stats.")] == []
+    assert "scipy.linalg" in loaded
+    # scipy.special is loaded on the first bayes_error_two_class or
+    # hotelling_two_sample call, never at import
+    for heavy in ("scipy.special", "scipy.stats"):
+        assert [m for m in loaded if m == heavy or m.startswith(heavy + ".")] == []

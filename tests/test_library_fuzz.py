@@ -1,0 +1,118 @@
+"""Fuzz test of the library's error contract beyond the k-fold protocol
+(Hypothesis).
+
+The seeded fits, ``make_fold_plan``, the simulation samplers, the Monte
+Carlo Bayes error, ``projected_test_power`` and the Chernoff functions
+each return, or raise a LolkitError; nothing else may escape.  Seeds are
+drawn around the valid range (negative, a float, a numpy integer), sample
+counts around 1, and Gaussian pairs whose means and covariances have
+lengths 1-3 that need not agree.
+"""
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from lolkit import chernoff
+from lolkit.benchmark import ALGORITHMS, fit_projection, make_fold_plan
+from lolkit.classifiers import bayes_error_monte_carlo
+from lolkit.errors import LolkitError
+from lolkit.extensions import projected_test_power
+from lolkit.model import DataMatrix, LabeledDataset
+from lolkit.simulations import FAMILIES, SimSpec, population_model, sample
+
+SEEDS = st.sampled_from([-2, -1, 0, 1, 2, 1.5, np.int64(3)])
+ENTRIES = st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0])
+TESTING_FAMILIES = ("toeplitz_diag", "toeplitz_dense", "trunk", "stacked_cigars")
+
+
+@st.composite
+def datasets(draw):
+    """A p x n dataset whose every class has a sample."""
+    p = draw(st.integers(1, 5))
+    c = draw(st.integers(2, 3))
+    n = draw(st.integers(c, 10))
+    x = np.array(draw(st.lists(ENTRIES, min_size=p * n, max_size=p * n))).reshape(p, n)
+    labels = draw(st.permutations(list(range(c)) + draw(
+        st.lists(st.integers(0, c - 1), min_size=n - c, max_size=n - c))))
+    return LabeledDataset(DataMatrix(x), labels, c)
+
+
+def specs(families=FAMILIES, n=st.integers(1, 6)):
+    return st.builds(SimSpec, st.sampled_from(families), st.integers(1, 4), n, SEEDS)
+
+
+def vectors(length):
+    return st.lists(ENTRIES, min_size=length, max_size=length).map(np.array)
+
+
+@st.composite
+def matrices(draw, rows, cols):
+    """A rows x cols matrix: the identity's leading block, or arbitrary entries."""
+    if draw(st.booleans()):
+        return np.eye(rows, cols) * draw(st.sampled_from([0.5, 1.0, 3.0]))
+    return draw(vectors(rows * cols)).reshape(rows, cols)
+
+
+@st.composite
+def gaussians(draw):
+    """(mean, covariance) of lengths 1-3 each, not always equal."""
+    return draw(vectors(draw(st.integers(1, 3)))), draw(
+        st.integers(1, 3).flatmap(lambda k: matrices(k, k)))
+
+
+def _returns_or_raises_lolkit_error(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except LolkitError:
+        return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_seeded_fits_and_fold_plans_return_or_raise_a_lolkit_error(data):
+    draw = data.draw
+    ds = draw(datasets(), label="dataset")
+    tag = draw(st.sampled_from(ALGORITHMS), label="algorithm")
+    mode = draw(st.sampled_from(["auto", "exact", "randomized"]), label="svd_mode")
+    d = draw(st.integers(1, ds.p), label="d")
+    _returns_or_raises_lolkit_error(fit_projection, tag, ds, d, mode, draw(SEEDS, label="seed"))
+    k = draw(st.integers(2, ds.n), label="k")
+    _returns_or_raises_lolkit_error(make_fold_plan, ds, k, draw(SEEDS, label="plan seed"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_samplers_and_bayes_errors_return_or_raise_a_lolkit_error(data):
+    draw = data.draw
+    spec = draw(specs(), label="spec")
+    _returns_or_raises_lolkit_error(sample, spec)
+    _returns_or_raises_lolkit_error(population_model, spec)
+    model = _returns_or_raises_lolkit_error(population_model, SimSpec(spec.family, spec.p, 2))
+    if model is not None:
+        _returns_or_raises_lolkit_error(bayes_error_monte_carlo, model,
+                                        n_samples=draw(st.integers(-1, 3), label="n_samples"),
+                                        seed=draw(SEEDS, label="mc seed"))
+    test_spec = draw(specs(TESTING_FAMILIES + ("cross",), st.integers(3, 8)), label="test spec")
+    _returns_or_raises_lolkit_error(projected_test_power, test_spec,
+                                    draw(st.sampled_from(ALGORITHMS), label="method"),
+                                    draw(st.integers(1, test_spec.p + 1), label="d"),
+                                    reps=draw(st.integers(1, 2), label="reps"),
+                                    seed=draw(SEEDS, label="power seed"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_chernoff_functions_return_or_raise_a_lolkit_error(data):
+    draw = data.draw
+    f0 = draw(gaussians(), label="f0")
+    f1 = draw(gaussians(), label="f1")
+    t = draw(st.sampled_from([0.0, 0.25, 0.5, 1.0]), label="t")
+    _returns_or_raises_lolkit_error(chernoff.chernoff_divergence_t, f0, f1, t)
+    _returns_or_raises_lolkit_error(chernoff.chernoff_gaussian, f0, f1)
+    delta, sigma = f0[0], f1[1]
+    d = draw(st.integers(0, 4), label="d")
+    for gap in (chernoff.lol_vs_lda_gap, chernoff.lol_vs_pca_gap, chernoff.pooled_top_eigvecs):
+        _returns_or_raises_lolkit_error(gap, delta, sigma, d)
+    a = draw(st.tuples(st.integers(1, 3), st.integers(1, 3)).flatmap(lambda s: matrices(*s)),
+             label="A")
+    _returns_or_raises_lolkit_error(chernoff.projected_chernoff_quadform, a, delta, sigma)

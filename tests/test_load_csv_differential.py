@@ -8,7 +8,8 @@ current loader must give the same bytes, names, label mapping and
 dropped-row count, or raise the same exception with the same message, on
 every generated file.  The files
 cover both of its paths: plain numeric tables that numpy's tokenizer
-parses, and every kind of file on which that parse must be declined.
+parses, with or without ``nan`` cells and missing labels whose rows are
+dropped, and every kind of file on which that parse must be declined.
 """
 
 import csv
@@ -134,7 +135,7 @@ numbers = st.one_of(
 rare = st.sampled_from([
     "", " ", "NA", "na", "nA", "NaN", "nan", "N/A", "n/a", "?", "NULL", "Null", "None",
     "nOnE", " none ", "inf", "-Infinity", "1e999", "-0.0", "0x10", "1__0", "\u0661\u0662",
-    "\u00bd", "1,5",
+    "\u00bd", "1,5", " nan ", "+nan", "-nan",
 ])
 few_levels = st.sampled_from(["1", "1.0", "2", "A", "a", "b c", "x,y", "two\nlines", '"q"'])
 strings = st.text(st.sampled_from("abcXYZ 0123,.\n\"-_"), min_size=1, max_size=6)
@@ -151,12 +152,16 @@ plain_labels = st.sampled_from(["0", "1", "2", "x", "y", "Z", "1.0"])
 # float() path (most of them) or checks that both paths read it alike
 trigger_cells = st.sampled_from([
     "1_000", "\u0661\u0662", "#1", "1#", "1\x002", "\x00", "1\x1c2", "nan", "NaN", "NA", "",
-    "?", "null", "inf", '"2.5"', " ",
+    "?", "null", "inf", '"2.5"', " ", " nan ", "+nan", "-nan",
 ])
 trigger_labels = st.sampled_from([
     '"x"', '"y,z"', "z\"", " x ", "\x1cy\x1c", "NA", "nan", " None ", "", "x#", "a\x00b",
     "\u0661",
 ])
+# cells numpy parses to NaN, and labels that are missing tokens: each
+# drops its row, except +nan and -nan, which stay and are refused
+nan_cells = st.sampled_from(["nan", "NaN", " nan ", "NAN", "+nan", "-nan"])
+missing_labels = st.sampled_from(["", "NA", "nan", " None ", "?", "null"])
 blank_lines = st.sampled_from(["", " ", "  ", "\t", "\x1c"])
 newlines = st.sampled_from(["\n", "\r\n", "\r", "\r\r\n"])
 # a few values, each in several spellings
@@ -186,7 +191,8 @@ def plain_file(draw):
     """(file text, label column) for a numeric table of at least
     ONE_HOT_THRESHOLD rows written without quoting, which np.loadtxt can
     parse; one time in three a trigger cell, label or blank line is
-    written in."""
+    written in, and one time in nine several rows get a NaN cell or a
+    missing label."""
     n_features = draw(st.integers(1, 4))
     n_rows = draw(st.integers(ONE_HOT_THRESHOLD, 24))
     rows = [list(r) for r in zip(*[draw(plain_column(n_rows)) for _ in range(n_features)])]
@@ -203,6 +209,10 @@ def plain_file(draw):
         lines[at][label_at] = draw(trigger_labels)
     elif trigger == 2:
         lines.insert(at, [draw(blank_lines)])
+    elif trigger == 3:
+        for row in draw(st.lists(st.integers(1, n_rows), min_size=1, max_size=n_rows)):
+            column = draw(st.integers(0, n_features))
+            lines[row][column] = draw(missing_labels if column == label_at else nan_cells)
     delimiter = draw(st.sampled_from([",", "\t"]))
     newline = draw(newlines)
     text = "".join(delimiter.join(line) + newline for line in lines)
@@ -272,6 +282,20 @@ def numeric_path_spy():
         yield taken
 
 
+@pytest.fixture
+def reread_spy():
+    """Counts the calls that look at NaN rows' lines again."""
+    calls = Counter()
+    real = benchmark._rows_with_missing_cells
+
+    def spy(*args):
+        calls["reread"] += 1
+        return real(*args)
+
+    with mock.patch.object(benchmark, "_rows_with_missing_cells", spy):
+        yield calls
+
+
 def test_load_csv_matches_the_per_cell_reference(tmp_path, numeric_path_spy):
     path = tmp_path / "d.csv"
 
@@ -317,7 +341,8 @@ def _column_b(cells, n_rows=12):
     return _text(lines)
 
 
-# file text, and the path load_csv must take on it
+# file text, and the path load_csv must take on it; "+reread" marks a
+# file whose NaN rows' lines are looked at again, which no clean file is
 CASES = {
     "plain": (_text(_plain_table()), "numpy"),
     "tab-crlf": (_text(_plain_table(), "\r\n", "\t"), "numpy"),
@@ -335,7 +360,15 @@ CASES = {
     "underscore-cell": (_with(cell="1_000"), "float"),
     "arabic-digits-cell": (_with(cell="\u0661\u0662"), "float"),
     "quoted-cell": (_with(cell='"7"'), "float"),
-    "nan-cell": (_with(cell="nan"), "float"),
+    "nan-cell": (_with(cell="nan"), "numpy+reread"),
+    "padded-nan-cell": (_with(cell=" NaN "), "numpy+reread"),
+    "plus-nan-cell": (_with(cell="+nan"), "numpy+reread"),
+    "minus-nan-cell": (_with(cell="-nan"), "numpy+reread"),
+    "nan-cell-and-na-label": (_with(cell="nan", label="NA"), "numpy"),
+    "nan-after-empty-line": (_text(_plain_table()[:6] + [[""]] + _plain_table()[6:8]
+                                   + [["nan", "y", "1"]] + _plain_table()[8:]), "numpy+reread"),
+    "nan-cells-in-two-rows": (_text([r[:1] + ["x", "nan"] if i in (3, 8) else r
+                                     for i, r in enumerate(_plain_table())]), "numpy+reread"),
     "na-cell": (_with(cell="NA"), "float"),
     "empty-cell": (_with(cell=""), "float"),
     "overflow-cell": (_with(cell="1e999"), "numpy"),
@@ -344,9 +377,9 @@ CASES = {
     "hash-label": (_with(label="x#"), "numpy"),
     "nul-label": (_with(label="y\x00"), "numpy"),
     "padded-label": (_with(label=" \x1cy "), "numpy"),
-    "na-label": (_with(label="Na"), "float"),
-    "none-label": (_with(label=" none "), "float"),
-    "empty-label": (_with(label=""), "float"),
+    "na-label": (_with(label="Na"), "numpy"),
+    "none-label": (_with(label=" none "), "numpy"),
+    "empty-label": (_with(label=""), "numpy"),
     "extra-field-every-row": (_text(_plain_table()[:1] + [r + ["3.5"] for r in _plain_table()[1:]]),
                               "float"),
     "one-row": (_text(_plain_table(1)), "float"),
@@ -354,7 +387,7 @@ CASES = {
     # a column that parses is one numeric row, however few cells or floats it has
     "binary-column": (_column_b(["0", "1"]), "numpy"),
     "spellings-column": (_column_b(["1", "1.0", " 1", "2"]), "numpy"),
-    "nan-in-binary-column": (_column_b(["0", "nan"]), "float"),
+    "nan-in-binary-column": (_column_b(["0", "nan"]), "numpy+reread"),
     "signed-zero-9-cells": (_column_b(signed_zeros[:9], 18), "numpy"),
     "signed-zero-10-cells": (_column_b(signed_zeros, 20), "numpy"),
     "signed-zero-11-cells": (_column_b(signed_zeros + ["9"], 22), "numpy"),
@@ -362,9 +395,10 @@ CASES = {
 
 
 @pytest.mark.parametrize("case", CASES)
-def test_numpy_path_is_kept_or_declined_as_expected(tmp_path, numeric_path_spy, case):
+def test_numpy_path_is_kept_or_declined_as_expected(tmp_path, numeric_path_spy, reread_spy,
+                                                    case):
     text, path_taken = CASES[case]
     path = tmp_path / "d.csv"
     path.write_text(text, encoding="utf-8", newline="")
     assert _outcome(load_csv, path, "label") == _outcome(reference_load_csv, path, "label")
-    assert numeric_path_spy == {path_taken: 1}
+    assert numeric_path_spy + reread_spy == Counter(path_taken.split("+"))
