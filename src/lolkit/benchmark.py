@@ -45,7 +45,8 @@ from .model import DataMatrix, LabeledDataset
 
 SCHEMA_VERSION = 1
 
-_MISSING = {"", "na", "nan", "n/a", "?", "null", "none"}
+# the NaN spellings are every stripped cell that float() turns into NaN
+_MISSING = {"", "na", "nan", "+nan", "-nan", "n/a", "?", "null", "none"}
 # every upper/lower-case spelling of a _MISSING token.  No character
 # outside ASCII lowers to a character of these tokens, so a cell is in
 # this set exactly when cell.lower() is in _MISSING.
@@ -77,7 +78,7 @@ def load_csv(path, label_column) -> LoadedCsv:
     cells, and otherwise raises ParseFailure.  ``label_column`` is a header
     name or integer index.  A plain numeric file is parsed by numpy's C
     tokenizer, which gives the values float() gives, also when some rows
-    hold a ``nan`` cell or a missing label (see _numeric_table); every
+    hold a NaN cell or a missing label (see _numeric_table); every
     other file, such as one with other missing entries, categorical
     columns, quoted fields or cells like ``1_000``, is parsed row by row as
     it is read (see _FeatureRows), so its cells are never all held as
@@ -98,13 +99,11 @@ def load_csv(path, label_column) -> LoadedCsv:
             header = next(csv.reader([first], delimiter=delimiter))
             # a bad label column is reported once the whole file has parsed
             label_idx, label_error = _label_index(header, label_column)
-            numeric = None
-            if label_error is None:
-                numeric = _numeric_table(fh, delimiter, len(header), label_idx)
+            numeric = _numeric_table(fh, delimiter, len(header), label_idx)
             if numeric is not None:
                 n_rows = numeric[2]
             else:
-                table = None if label_error is not None else _FeatureRows(len(header), label_idx)
+                table = _FeatureRows(len(header), label_idx)
                 reader = csv.reader(fh, delimiter=delimiter)
                 n_rows = 0
                 for lineno, row in enumerate(reader, start=2):
@@ -115,10 +114,9 @@ def load_csv(path, label_column) -> LoadedCsv:
                             f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
                         )
                     n_rows += 1
-                    if table is not None:
-                        row = list(map(str.strip, row))
-                        if _MISSING_ANY_CASE.isdisjoint(row):
-                            table.add(row)
+                    row = list(map(str.strip, row))
+                    if _MISSING_ANY_CASE.isdisjoint(row):
+                        table.add(row)
         except UnicodeDecodeError as exc:
             raise ParseFailure(f"{path}: not UTF-8 text ({exc.reason})") from None
         except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
@@ -173,16 +171,14 @@ def _numeric_table(fh, delimiter, width, label_idx):
     numpy parses a field with PyOS_string_to_double after stripping the
     characters str.strip() strips, which is the conversion float() makes.
     The forms float() accepts and numpy rejects (``1_000``, non-ASCII
-    digits, quoted cells, missing tokens other than ``nan``) make the call
-    fail.  A result is kept only when it is complete, has no quoted label
-    and no field over csv.field_size_limit().  Every feature cell of a kept
-    result parsed, so no column is one-hot.  A row whose label is a
-    missing token is dropped, as _FeatureRows drops it.  So is a row
-    holding a NaN that came from a missing token (``nan``, ``NaN``):
-    only those rows' lines are looked at again, as text (see
-    _rows_with_missing_cells), and a NaN from ``+nan`` or ``-nan`` stays.
-    A stream that cannot be rewound, such as a pipe, is left to
-    _FeatureRows.
+    digits, quoted cells, missing tokens other than the NaN spellings)
+    make the call fail.  A result is kept only when it is complete, has no
+    quoted label and no field over csv.field_size_limit().  Every feature
+    cell of a kept result parsed, so no column is one-hot.  Every spelling
+    that float() turns into NaN is a missing token, so a row holding a NaN
+    is dropped, as is a row whose label is a missing token: _FeatureRows
+    drops both.  A stream that cannot be rewound, such as a pipe, is left
+    to _FeatureRows.
     """
     if not fh.seekable():
         return None
@@ -208,18 +204,11 @@ def _numeric_table(fh, delimiter, width, label_idx):
         data = None
     if data is not None and data.shape[1] == width and len(data) >= 2 \
             and not any('"' in v for v in label_codes):
-        n_read = len(data)
         codes = data[:, label_idx].astype(np.intp)
-        drop = np.isin(codes, [c for v, c in label_codes.items() if v in _MISSING_ANY_CASE])
-        # the label column holds codes, so a NaN is a feature's
-        if np.isnan(data).any():
-            nan_rows = np.flatnonzero(np.isnan(data).any(axis=1) & ~drop)
-            if nan_rows.size:
-                missing = _rows_with_missing_cells(fh, start, delimiter, nan_rows, n_read)
-                if missing is None:
-                    fh.seek(start)
-                    return None
-                drop[missing] = True
+        # the label column holds codes, so a NaN is a feature's missing cell
+        drop = np.isnan(data).any(axis=1) | np.isin(
+            codes, [c for v, c in label_codes.items() if v in _MISSING_ANY_CASE])
+        n_read = len(data)
         if drop.any():
             data, codes = data[~drop], codes[~drop]
         x = data.T[[j for j in range(width) if j != label_idx]]  # C-contiguous p x n
@@ -229,37 +218,18 @@ def _numeric_table(fh, delimiter, width, label_idx):
     return None
 
 
-def _rows_with_missing_cells(fh, start, delimiter, rows, n_rows):
-    """The entries of ``rows``, indices of the data rows that np.loadtxt
-    read from ``start``, whose line holds a missing token in some cell.
-    The lines are split, not parsed: numpy took no quote character, so a
-    line's cells are its delimiter-separated fields.  None when the
-    non-empty lines, the ones numpy reads, do not number ``n_rows``."""
-    fh.seek(start)
-    wanted = set(rows.tolist())
-    found = []
-    i = 0
-    for line in fh:
-        if line[0] in "\r\n":  # a line is empty when it starts with its terminator
-            continue
-        # str.strip also takes the last cell's line terminator
-        if i in wanted and not _MISSING_ANY_CASE.isdisjoint(map(str.strip, line.split(delimiter))):
-            found.append(i)
-        i += 1
-    return found if i == n_rows else None
-
-
 def _label_index(header, label_column):
-    """(index of the label column in ``header``, None), or (None, the
-    ParseFailure that names it)."""
+    """(index of the label column in ``header``, None), or (0, the
+    ParseFailure that names it): a file with a bad label column is still
+    read through, so its own parse errors come first."""
     if isinstance(label_column, int):
         if 0 <= label_column < len(header):
             return label_column, None
-        return None, ParseFailure(f"label column index {label_column} out of range")
+        return 0, ParseFailure(f"label column index {label_column} out of range")
     try:
         return header.index(label_column), None
     except ValueError:
-        return None, ParseFailure(f"label column {label_column!r} not in header")
+        return 0, ParseFailure(f"label column {label_column!r} not in header")
 
 
 class _FeatureRows:

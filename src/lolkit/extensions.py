@@ -16,8 +16,10 @@ from .classifiers import _sample_class
 from .embeddings import _pls_weights, embed
 from .errors import (
     DegenerateTarget,
+    NonFiniteData,
     ShapeMismatch,
     SingularProjectedCov,
+    TooFewDims,
     TooManyBins,
     UnderdeterminedTest,
 )
@@ -127,9 +129,10 @@ def quantile_partition(y, num_bins) -> QuantilePartition:
 
     Values equal to a boundary go to the lower class.  Empty bins (tied
     targets) are dropped and the labels re-densified; a target with a
-    single surviving class is an error.
+    single surviving class is an error, and so is a target that _target
+    refuses.
     """
-    y = np.asarray(y, dtype=np.float64)
+    y = _target(y)
     if num_bins > y.shape[0]:
         raise TooManyBins(f"K={num_bins} exceeds n={y.shape[0]}")
     if num_bins < 2:
@@ -159,29 +162,40 @@ def _regress_on_embedding(proj, x: DataMatrix, y) -> EmbeddedRegression:
     """Ordinary least squares with intercept of y on the embedded x."""
     e = embed(proj, x).values
     design = np.vstack([np.ones(e.shape[1]), e]).T
-    beta, *_ = np.linalg.lstsq(design, np.asarray(y, dtype=np.float64), rcond=None)
+    beta, *_ = np.linalg.lstsq(design, y, rcond=None)
     return EmbeddedRegression(projection=proj, intercept=float(beta[0]), coef=beta[1:])
 
 
 def lol_regression(x: DataMatrix, y, num_bins=4, d=5, seed=0) -> EmbeddedRegression:
     """Quantile-partition the target, fit LOL on the induced classes,
     then ordinary least squares with intercept on the embedded data."""
-    part = quantile_partition(y, num_bins)
+    yv = _target(y, x.n)
+    part = quantile_partition(yv, num_bins)
     dataset = LabeledDataset(x, part.labels, part.num_classes)
-    return _regress_on_embedding(fit_projection("lol", dataset, d, seed=seed), x, y)
+    return _regress_on_embedding(fit_projection("lol", dataset, d, seed=seed), x, yv)
 
 
-def _target(y, n):
-    """y as a length-n float64 vector; any other shape raises ShapeMismatch."""
-    yv = np.asarray(y, dtype=np.float64)
-    if yv.shape != (n,):
-        raise ShapeMismatch(f"target must be a length-{n} vector, got shape {yv.shape}")
+def _target(y, n=None):
+    """y as a float64 vector, of length n unless n is None.  Any other
+    shape, or an entry that is not a number, raises ShapeMismatch; a NaN
+    or infinite entry raises NonFiniteData."""
+    try:
+        yv = np.asarray(y, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ShapeMismatch("target entries must be numbers") from None
+    if yv.ndim != 1 or n not in (None, yv.shape[0]):
+        length = "" if n is None else f"length-{n} "
+        raise ShapeMismatch(f"target must be a {length}vector, got shape {yv.shape}")
+    if not np.all(np.isfinite(yv)):
+        raise NonFiniteData("target contains NaN or Inf entries")
     return yv
 
 
 def pls1_regression(x: DataMatrix, y, d) -> EmbeddedRegression:
     """PLS1 regression baseline: PLS weight vectors against the centered
     scalar target, then least squares on the scores."""
+    if d < 1:
+        raise TooFewDims(f"d={d} below 1")
     xv = x.values
     yv = _target(y, x.n)
     yc = yv - yv.mean()
@@ -190,4 +204,7 @@ def pls1_regression(x: DataMatrix, y, d) -> EmbeddedRegression:
 
 
 def mean_squared_error(model: EmbeddedRegression, x: DataMatrix, y):
-    return float(np.mean((model.predict(x) - _target(y, x.n)) ** 2))
+    """Mean squared error of ``model`` on (x, y); an error too large to
+    square gives inf, without numpy's overflow warning."""
+    with np.errstate(over="ignore"):
+        return float(np.mean((model.predict(x) - _target(y, x.n)) ** 2))

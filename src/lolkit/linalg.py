@@ -45,13 +45,19 @@ def _fix_signs(U, *others):
     return (U * flip, *(m * flip for m in others))
 
 
+def check_seed(seed):
+    """Raise ShapeMismatch unless ``seed`` is a non-negative Python or numpy
+    integer; a bool is not one."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ShapeMismatch(f"seed must be a non-negative integer, got {seed!r}")
+
+
 def seed_sequence(seed, *keys):
     """The SeedSequence of ``seed`` alone, or of (seed, *keys): the one place
     a lolkit seed becomes numpy entropy.  ``default_rng(seed_sequence(s))``
-    gives the stream ``default_rng(s)`` gives.  A seed that is not a
-    non-negative Python or numpy integer raises ShapeMismatch."""
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ShapeMismatch(f"seed must be a non-negative integer, got {seed!r}")
+    gives the stream ``default_rng(s)`` gives.  A seed that check_seed
+    refuses raises ShapeMismatch."""
+    check_seed(seed)
     return np.random.SeedSequence((seed, *keys) if keys else seed)
 
 

@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import EmptyClass, NonFiniteData, ShapeMismatch
-from .linalg import truncated_svd
+from .linalg import check_seed, truncated_svd
 
 
 @dataclass(frozen=True)
@@ -58,18 +58,24 @@ class DataMatrix:
 def label_counts(labels, n, num_classes=None):
     """(labels as int64, samples per class) of n class labels in 0..C-1,
     where C is ``num_classes`` or, when that is None or 0, the largest
-    label plus one.  Labels that are not a length-n vector raise
-    ShapeMismatch; fewer than 2 classes, a label outside 0..C-1 or a class
-    with no samples raise EmptyClass."""
+    label plus one.  Labels that are not a length-n vector of integers
+    (integral floats such as 1.0 included) raise ShapeMismatch; fewer than
+    2 classes, more classes than samples, a label outside 0..C-1 or a
+    class with no samples raise EmptyClass."""
     y = np.asarray(labels)
     if y.ndim != 1 or y.shape[0] != n:
         raise ShapeMismatch(f"labels must be a length-{n} vector, got shape {y.shape}")
-    y = y.astype(np.int64)
+    if y.dtype.kind not in "biuf" or (
+            y.dtype.kind == "f" and not np.all(np.isfinite(y) & (y == np.trunc(y)))):
+        raise ShapeMismatch(f"labels must be integers, got {y.dtype} labels")
     c = num_classes if num_classes else int(y.max()) + 1
     if c < 2:
         raise EmptyClass(f"need at least 2 classes, got C={c}")
+    if c > n:  # checked before bincount allocates c counts
+        raise EmptyClass(f"C={c} classes cannot each have one of n={n} samples")
     if y.min() < 0 or y.max() >= c:
         raise EmptyClass(f"labels must lie in 0..{c - 1}")
+    y = y.astype(np.int64)
     counts = np.bincount(y, minlength=c)
     if np.any(counts == 0):
         missing = int(np.flatnonzero(counts == 0)[0])
@@ -131,7 +137,8 @@ class Projection:
     Columns of eigenvector- and delta-based fits are unit-norm.  For
     those methods the first d' columns of a d-dim fit equal the d'-dim
     fit exactly (same data, same seed) when the SVD is exact; randomized
-    SVD fits do not nest.
+    SVD fits do not nest.  ``seed`` is None or a seed that check_seed
+    accepts, so every Projection can be saved and loaded again.
     """
 
     directions: np.ndarray
@@ -144,6 +151,8 @@ class Projection:
             raise ShapeMismatch(f"projection directions must be p x d, got {a.shape}")
         if not np.all(np.isfinite(a)):
             raise NonFiniteData("projection contains non-finite entries")
+        if self.seed is not None:
+            check_seed(self.seed)
         object.__setattr__(self, "directions", a)
 
     @property

@@ -255,6 +255,26 @@ def test_make_fold_plan_structure_and_determinism():
         LabeledDataset(DataMatrix(np.zeros((5, 4))), [0, 1, 2, 0], 2)
 
 
+def test_stratified_subsample_gives_back_what_the_one_sample_floor_adds():
+    # floors of 3 * [10, 1, 1] / 12 are [2, 0, 0]; raising the singletons
+    # to one sample makes [2, 1, 1], one over, which the largest class gives back
+    labels = np.array([0] * 10 + [1, 2])
+    picked = benchmark._stratified_subsample(np.arange(12), labels, 3, np.random.default_rng(0))
+    assert np.bincount(labels[picked]).tolist() == [1, 1, 1]
+
+
+def test_sweep_skips_a_fold_whose_training_subsample_lacks_a_class():
+    labels = np.array([0] * 5 + [1] * 5 + [2])
+    x = np.random.default_rng(0).normal(size=(10, labels.size))
+    plan = make_fold_plan(LabeledDataset(DataMatrix(x), labels), 3, seed=0)
+    # the fold holding the one class-2 sample trains without class 2
+    (lacking,) = [j for j, fold in enumerate(plan.folds) if 10 in fold]
+    for curve in sweep(plan, ["lol", "pca", "rp", "cca"], 2):
+        others = [j for j in range(plan.k) if j != lacking]
+        assert np.all(np.isnan(curve.rates[lacking])), curve.algorithm
+        assert np.all(np.isfinite(curve.rates[others])), curve.algorithm
+
+
 def _curve(means):
     return ErrorCurve(algorithm="x", rates=np.asarray(means, dtype=float)[None, :])
 

@@ -101,6 +101,10 @@ def test_prefix_and_leading_rows_are_views_within_range():
     ([-1] + [0, 1] * 5 + [0], None, EmptyClass),     # a label below 0
     ([0, 1, 2] * 4, 2, EmptyClass),                 # a label of C or above
     ([0] * 12, 2, EmptyClass),                      # a class with no samples
+    ([0, 1] * 5 + [0, 0.5], None, ShapeMismatch),   # a fractional label
+    ([0, 1] * 5 + [0, np.nan], None, ShapeMismatch),  # a NaN label
+    (["a", "b"] * 6, None, ShapeMismatch),          # string labels
+    ([0, 1] * 5 + [0, 10**12], None, EmptyClass),   # more classes than samples
 ])
 def test_labels_that_do_not_fit_are_lolkit_errors(labels, num_classes, error):
     with pytest.raises(error):

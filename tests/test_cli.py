@@ -453,3 +453,17 @@ def test_written_files_get_the_mode_open_gives(tmp_path, umask, mode):
     # proj.txt comes from save_projection, the rest from the CLI's writers
     assert {p.name: stat.S_IMODE(p.stat().st_mode) for p in files} == \
         dict.fromkeys((p.name for p in files), mode)
+
+
+def test_atomic_write_leaves_the_umask_alone(tmp_path, monkeypatch):
+    # setting the umask, even to read it, changes the mode of every file
+    # another thread of the process creates meanwhile
+    def umask(mask):
+        raise AssertionError(f"os.umask({mask:#o}) called during a write")
+
+    monkeypatch.setattr(os, "umask", umask)
+    out = tmp_path / "out.csv"
+    _atomic_write(out, ["a,b\n"])
+    save_projection(Projection(np.eye(3, 2), "lol", 0), tmp_path / "proj.txt")
+    assert out.read_text() == "a,b\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "proj.txt"]

@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from lolkit.errors import DegenerateTarget, ShapeMismatch, UnderdeterminedTest, TooManyBins
+from lolkit.errors import (
+    DegenerateTarget,
+    NonFiniteData,
+    ShapeMismatch,
+    TooFewDims,
+    TooManyBins,
+    UnderdeterminedTest,
+)
 from lolkit.extensions import (
     hotelling_two_sample,
     lol_regression,
@@ -194,3 +201,24 @@ def test_regression_targets_of_another_length_are_refused():
         mean_squared_error(model, x, y[:5])
     with pytest.raises(ShapeMismatch, match="length-12"):
         lol_regression(x, y[:5], num_bins=2, d=2)
+
+
+def test_non_finite_or_non_vector_targets_are_refused():
+    rng = np.random.default_rng(8)
+    x = DataMatrix(rng.standard_normal((4, 12)))
+    y = rng.standard_normal(12)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(NonFiniteData):
+            pls1_regression(x, np.where(np.arange(12) == 3, bad, y), 2)
+        with pytest.raises(NonFiniteData):
+            lol_regression(x, np.where(np.arange(12) == 3, bad, y), num_bins=2, d=2)
+        with pytest.raises(NonFiniteData):
+            quantile_partition(np.where(np.arange(12) == 3, bad, y), 2)
+    with pytest.raises(ShapeMismatch, match="vector"):
+        quantile_partition(y.reshape(3, 4), 2)
+    with pytest.raises(ShapeMismatch, match="numbers"):
+        quantile_partition(["a"] * 12, 2)
+    with pytest.raises(TooFewDims):
+        pls1_regression(x, y, -1)
+    model = pls1_regression(x, y, 2)
+    assert mean_squared_error(model, x, np.full(12, 1e300)) == np.inf

@@ -2,11 +2,15 @@
 (Hypothesis).
 
 The seeded fits, ``make_fold_plan``, the simulation samplers, the Monte
-Carlo Bayes error, ``projected_test_power`` and the Chernoff functions
-each return, or raise a LolkitError; nothing else may escape.  Seeds are
-drawn around the valid range (negative, a float, a numpy integer), sample
-counts around 1, and Gaussian pairs whose means and covariances have
-lengths 1-3 that need not agree.
+Carlo Bayes error, ``projected_test_power``, the Chernoff functions, the
+class moments and the classifiers fitted from them, and the quantile
+partition and regressions each return, or raise a LolkitError; nothing
+else may escape, and a fitted projection loads back from its file as it
+was saved.  Seeds are drawn around the valid range (negative, a float, a
+numpy integer, a bool), sample counts around 1, Gaussian pairs whose means
+and covariances have lengths 1-3 that need not agree, labels that are
+fractional, non-finite or strings, and targets that are non-finite or of
+the wrong shape.
 """
 
 import numpy as np
@@ -14,14 +18,23 @@ from hypothesis import given, settings, strategies as st
 
 from lolkit import chernoff
 from lolkit.benchmark import ALGORITHMS, fit_projection, make_fold_plan
-from lolkit.classifiers import bayes_error_monte_carlo
+from lolkit.classifiers import bayes_error_monte_carlo, class_moments, fit_lda, fit_qda
+from lolkit.embeddings import load_projection, save_projection
 from lolkit.errors import LolkitError
-from lolkit.extensions import projected_test_power
+from lolkit.extensions import (
+    lol_regression,
+    mean_squared_error,
+    pls1_regression,
+    projected_test_power,
+    quantile_partition,
+)
 from lolkit.model import DataMatrix, LabeledDataset
 from lolkit.simulations import FAMILIES, SimSpec, population_model, sample
 
-SEEDS = st.sampled_from([-2, -1, 0, 1, 2, 1.5, np.int64(3)])
+SEEDS = st.sampled_from([-2, -1, 0, 1, 2, 1.5, np.int64(3), True])
 ENTRIES = st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0])
+LABELS = st.sampled_from([0, 1, 2, 1.0, 0.5, -1, 3, np.nan, np.inf, "a"])
+TARGETS = st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0, 1e300, -1e300, np.nan, np.inf, -np.inf])
 TESTING_FAMILIES = ("toeplitz_diag", "toeplitz_dense", "trunk", "stacked_cigars")
 
 
@@ -69,13 +82,20 @@ def _returns_or_raises_lolkit_error(fn, *args, **kwargs):
 
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
-def test_seeded_fits_and_fold_plans_return_or_raise_a_lolkit_error(data):
+def test_seeded_fits_and_fold_plans_return_or_raise_a_lolkit_error(tmp_path_factory, data):
     draw = data.draw
     ds = draw(datasets(), label="dataset")
     tag = draw(st.sampled_from(ALGORITHMS), label="algorithm")
     mode = draw(st.sampled_from(["auto", "exact", "randomized"]), label="svd_mode")
     d = draw(st.integers(1, ds.p), label="d")
-    _returns_or_raises_lolkit_error(fit_projection, tag, ds, d, mode, draw(SEEDS, label="seed"))
+    proj = _returns_or_raises_lolkit_error(fit_projection, tag, ds, d, mode,
+                                           draw(SEEDS, label="seed"))
+    if proj is not None:
+        path = tmp_path_factory.mktemp("projection") / "p.txt"
+        save_projection(proj, path)
+        loaded = load_projection(path)
+        assert loaded.directions.tobytes() == proj.directions.tobytes()
+        assert (loaded.method_tag, loaded.seed) == (proj.method_tag, proj.seed)
     k = draw(st.integers(2, ds.n), label="k")
     _returns_or_raises_lolkit_error(make_fold_plan, ds, k, draw(SEEDS, label="plan seed"))
 
@@ -116,3 +136,49 @@ def test_chernoff_functions_return_or_raise_a_lolkit_error(data):
     a = draw(st.tuples(st.integers(1, 3), st.integers(1, 3)).flatmap(lambda s: matrices(*s)),
              label="A")
     _returns_or_raises_lolkit_error(chernoff.projected_chernoff_quadform, a, delta, sigma)
+
+
+@st.composite
+def label_vectors(draw, n):
+    """Labels for n samples: integers in 0..2 with, one time in two, a
+    drawn entry of any kind written in; sometimes one too many or few."""
+    length = n + draw(st.sampled_from([0, 0, 0, -1, 1]))
+    labels = draw(st.lists(st.integers(0, 2), min_size=length, max_size=length))
+    if labels and draw(st.booleans()):
+        labels[draw(st.integers(0, length - 1))] = draw(LABELS)
+    return labels
+
+
+@st.composite
+def targets(draw, n):
+    """A target for n samples: a vector of drawn entries, sometimes of
+    another length, a column or a scalar."""
+    shape = draw(st.sampled_from([(n,), (n,), (n,), (n + 1,), (n, 1), ()]))
+    size = int(np.prod(shape))
+    return np.array(draw(st.lists(TARGETS, min_size=size, max_size=size))).reshape(shape)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_labels_and_targets_return_or_raise_a_lolkit_error(data):
+    draw = data.draw
+    p = draw(st.integers(1, 4), label="p")
+    n = draw(st.integers(1, 10), label="n")
+    x = DataMatrix(draw(matrices(p, n), label="x"))
+    labels = draw(label_vectors(n), label="labels")
+    num_classes = draw(st.sampled_from([None, 0, 2, 3]), label="num_classes")
+    moments = _returns_or_raises_lolkit_error(class_moments, x, labels, num_classes)
+    if moments is not None:
+        _returns_or_raises_lolkit_error(fit_lda, moments)
+        _returns_or_raises_lolkit_error(fit_qda, moments)
+    y = draw(targets(n), label="target")
+    _returns_or_raises_lolkit_error(quantile_partition, y, draw(st.integers(-1, n + 1), label="K"))
+    d = draw(st.integers(-1, p + 1), label="d")
+    models = [_returns_or_raises_lolkit_error(lol_regression, x, y,
+                                              draw(st.integers(1, 4), label="bins"), d,
+                                              draw(SEEDS, label="seed")),
+              _returns_or_raises_lolkit_error(pls1_regression, x, y, d)]
+    for model in models:
+        if model is not None:
+            _returns_or_raises_lolkit_error(mean_squared_error, model, x,
+                                            draw(targets(n), label="test target"))

@@ -147,6 +147,16 @@ def test_projection_prefix_and_validation():
         proj.prefix(4)
     with pytest.raises(NonFiniteData):
         Projection(np.array([[np.nan]]), method_tag="x")
+    # a seed that save_projection could write but load_projection not read
+    for seed in (1.5, -1, True, "3"):
+        with pytest.raises(ShapeMismatch, match="seed"):
+            Projection(np.eye(2, 1), method_tag="x", seed=seed)
+    assert Projection(np.eye(2, 1), method_tag="x", seed=np.int64(3)).seed == 3
+
+
+def test_integral_float_labels_are_integer_labels():
+    ds = make_dataset([[0.0, 1.0, 2.0, 3.0]], [0.0, 1.0, 1.0, 0.0])
+    assert ds.labels.dtype == np.int64 and ds.labels.tolist() == [0, 1, 1, 0]
 
 
 def test_gaussian_model_validation():

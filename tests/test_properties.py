@@ -1,12 +1,13 @@
 """Property tests of the file loaders (Hypothesis)."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from lolkit.benchmark import ALGORITHMS, load_csv
 from lolkit.embeddings import load_projection, save_projection
-from lolkit.errors import LolkitError
+from lolkit.errors import LolkitError, ShapeMismatch
 from lolkit.model import Projection
 
 # every finite double, -0.0, subnormals and the extremes included
@@ -19,6 +20,10 @@ matrices = st.tuples(st.integers(1, 6), st.integers(1, 4)).flatmap(
 @given(a=matrices, tag=st.sampled_from(ALGORITHMS),
        seed=st.none() | st.integers(-2**63, 2**63 - 1))
 def test_projection_file_round_trip_is_exact(tmp_path_factory, a, tag, seed):
+    if seed is not None and seed < 0:  # a seed that seed_sequence refuses
+        with pytest.raises(ShapeMismatch, match="seed"):
+            Projection(a, tag, seed)
+        return
     path = tmp_path_factory.mktemp("proj") / "p.txt"
     save_projection(Projection(a, tag, seed), path)
     back = load_projection(path)
