@@ -27,7 +27,6 @@ from .embeddings import (
 )
 from .classifiers import (
     ClassMoments,
-    bayes_error_monte_carlo,
     bayes_error_two_class,
     class_moments,
     fit_lda,
@@ -37,9 +36,6 @@ from .classifiers import (
     predict_qda,
 )
 from .chernoff import (
-    ChernoffReport,
-    chernoff_divergence_t,
-    chernoff_gaussian,
     lol_vs_lda_gap,
     lol_vs_pca_gap,
     projected_chernoff_quadform,
@@ -48,7 +44,6 @@ from .simulations import (
     RegressionSample,
     SimSample,
     SimSpec,
-    bayes_error_of,
     population_model,
     sample,
 )

@@ -498,15 +498,18 @@ def sweep(plan: FoldPlan, algorithms, d_max, classifier="lda"):
 
     Each (fold, algorithm) fit embeds the training and the test fold once
     at its full width, and the cell for r takes the leading r rows of both
-    embeddings: the fits nest, so those rows are the r-dim embeddings.  The
-    training embedding's class moments are computed once, and the cell for
-    r fits its classifier from their leading r rows.  A failed full-width
-    embedding marks the fold's cells missing, as a failed fit does.  The
-    r = 1 cell alone embeds through ``prefix(1)`` and computes its own
-    moments: numpy computes a one-row product by a matrix-vector path
-    whose last bits differ from row 0 of the full product, and the 1-dim
-    cca embedding, with almost no within-class variance when n <= p,
-    changes its predictions on those bits.
+    embeddings.  Exact-SVD fits nest, so those rows are the r-dim
+    embeddings; a randomized-SVD fit (what "auto" picks when min(p,
+    n_train) > 2000) does not, and its cell for r scores the leading r
+    columns of the d_max fit.  The training embedding's class moments
+    are computed once, and the cell for r fits its classifier from their
+    leading r rows.  A failed full-width embedding marks the fold's cells
+    missing, as a failed fit does.  The r = 1 cell alone embeds through
+    ``prefix(1)`` and computes its own moments: numpy computes a one-row
+    product by a matrix-vector path whose last bits differ from row 0 of
+    the full product, and the 1-dim cca embedding, with almost no
+    within-class variance when n <= p, changes its predictions on those
+    bits.
 
     Each fold's projection fits and per-r cells (embed, classifier fit,
     predict) run with BLAS at one thread: their SVDs and d x d solves are

@@ -1,100 +1,25 @@
-"""Chernoff information between Gaussians and closed-form projection gaps.
+"""Closed-form Chernoff gaps between projections of an equal-covariance
+Gaussian pair.
 
-Two conventions appear side by side and are labelled explicitly:
-
-* ``scaled`` -- the Chernoff information proper; for equal covariances it
-  equals delta' Sigma^-1 delta / 8 with optimizer t* = 1/2.
-* ``raw`` -- the quadratic form delta' A (A' Sigma A)^-1 A' delta used by
-  the projection-gap identities (scaled = raw / 8 when covariances are
-  equal).
+Every value is in the ``raw`` convention: the quadratic form
+delta' A (A' Sigma A)^-1 A' delta of a projection A.  The Chernoff
+information proper of the projected pair is raw / 8.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
     DegenerateGamma,
     NonFiniteData,
-    NotPositiveDefinite,
     PooledDenominatorDegenerate,
     ShapeMismatch,
     SingularProjectedCov,
     TooFewDims,
 )
-from .linalg import _cholesky, _factor, _project, _solve
-from .model import as_matrix, cov_as_dense
-
-GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
-
-
-@dataclass(frozen=True)
-class ChernoffReport:
-    value: float
-    t_star: float
-    convention: str  # "scaled" or "raw"
-
-
-def _check_pd(cov, name, mean_shape):
-    """(cov, lower Cholesky factor, log-determinant) of a mean's covariance."""
-    cov = np.asarray(cov, dtype=np.float64)
-    if len(mean_shape) != 1 or cov.shape != mean_shape * 2:
-        raise ShapeMismatch(f"{name} has shape {cov.shape}; the means have shape {mean_shape}")
-    try:
-        return (cov, *_factor(cov))
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(f"{name} is not positive definite") from exc
-
-
-def chernoff_divergence_t(f0, f1, t):
-    """Chernoff divergence C_t between Gaussians f = (mean, covariance).
-    Means of different shapes raise ShapeMismatch."""
-    mu0, sig0 = f0
-    mu1, sig1 = f1
-    mu0 = np.asarray(mu0, dtype=np.float64)
-    mu1 = np.asarray(mu1, dtype=np.float64)
-    if mu0.shape != mu1.shape:
-        raise ShapeMismatch(f"the means have shapes {mu0.shape} and {mu1.shape}")
-    diff = mu1 - mu0
-    sig0, _, logdet0 = _check_pd(sig0, "Sigma0", diff.shape)
-    sig1, _, logdet1 = _check_pd(sig1, "Sigma1", diff.shape)
-    _, chol_t, logdet_t = _check_pd(t * sig0 + (1.0 - t) * sig1,
-                                    f"t Sigma0 + (1 - t) Sigma1 at t={t}", diff.shape)
-    quad = diff @ _solve(chol_t, diff)
-    return 0.5 * t * (1.0 - t) * quad + 0.5 * (logdet_t - t * logdet0 - (1.0 - t) * logdet1)
-
-
-def _golden_max(fun, lo, hi, tol):
-    a, b = lo, hi
-    x1 = b - GOLDEN * (b - a)
-    x2 = a + GOLDEN * (b - a)
-    f1, f2 = fun(x1), fun(x2)
-    while b - a > tol:
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + GOLDEN * (b - a)
-            f2 = fun(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - GOLDEN * (b - a)
-            f1 = fun(x1)
-    t = 0.5 * (a + b)
-    return t, fun(t)
-
-
-def chernoff_gaussian(f0, f1):
-    """Chernoff information C(F0, F1) = sup_t C_t, scaled convention.
-
-    C_t is concave in t: it is the skew Jensen gap t F(theta0) +
-    (1-t) F(theta1) - F(t theta0 + (1-t) theta1) of the convex Gaussian
-    log-normalizer F (Nielsen 2011, "Chernoff information of exponential
-    families").  Golden-section search therefore finds the global maximum.
-    """
-    fun = lambda t: chernoff_divergence_t(f0, f1, t)
-    t_star, val = _golden_max(fun, 1e-12, 1.0 - 1e-12, 1e-10)
-    return ChernoffReport(value=float(val), t_star=float(t_star), convention="scaled")
+from .linalg import _cholesky, _project, _solve
+from .model import as_matrix
 
 
 def projected_chernoff_quadform(a, delta, sigma):
@@ -195,17 +120,3 @@ def pooled_top_eigvecs(delta, sigma, d):
     pooled = sigma + 0.25 * np.outer(delta, delta)
     _, u = _eigh_desc(pooled)
     return u[:, :d]
-
-
-def min_pairwise_chernoff(model):
-    """Multi-class rate: min over class pairs of the Chernoff information."""
-    best = None
-    for i in range(model.num_classes):
-        for j in range(i + 1, model.num_classes):
-            rep = chernoff_gaussian(
-                (model.means[:, i], cov_as_dense(model.covariance_of(i))),
-                (model.means[:, j], cov_as_dense(model.covariance_of(j))),
-            )
-            if best is None or rep.value < best.value:
-                best = rep
-    return best

@@ -1,8 +1,8 @@
-"""LDA / QDA on embedded data, plus Gaussian Bayes-error oracles.
+"""LDA / QDA on embedded data, plus the closed-form two-class Bayes error.
 
-All three score with one Gaussian discriminant: the argmax over classes of
--1/2 (Mahalanobis distance + log det) + log prior, ties going to the
-lowest class index.  Fitted covariances are MLE (divide by n) with a
+Both classifiers score with one Gaussian discriminant: the argmax over
+classes of -1/2 (Mahalanobis distance + log det) + log prior, ties going
+to the lowest class index.  Fitted covariances are MLE (divide by n) with a
 relative ridge of 1e-8 * trace / d on the diagonal, which guards
 degenerate folds without perturbing well-conditioned problems beyond
 ~1e-6.
@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeMismatch, SingularProjectedCov, UnderdeterminedClassifier
-from .linalg import _cholesky, _factor, _project, _solve, seed_sequence
-from .model import DataMatrix, GaussianModel, as_matrix, cov_as_dense, gaussian_noise, label_counts
+from .linalg import _cholesky, _factor, _project, _solve
+from .model import DataMatrix, GaussianModel, as_matrix, gaussian_noise, label_counts
 
 RIDGE_REL = 1e-8
 
@@ -42,17 +42,6 @@ class GaussianClassifier:
     covariances: tuple       # one (d, d) per class, ridge-stabilized
     _chols: tuple
     _logdets: np.ndarray
-
-
-def _discriminant(x, means, chols, logdets, priors):
-    """Predicted class of every column of x under the Gaussian classes
-    (means[:, j], chols[j], logdets[j], priors[j])."""
-    scores = np.empty((priors.shape[0], x.shape[1]))
-    for j in range(priors.shape[0]):
-        diff = x - means[:, j : j + 1]
-        maha = np.einsum("ij,ij->j", diff, _solve(chols[j], diff))
-        scores[j] = -0.5 * (maha + logdets[j]) + np.log(priors[j])
-    return np.argmax(scores, axis=0)
 
 
 @dataclass(frozen=True)
@@ -102,7 +91,12 @@ def _predict(clf: GaussianClassifier, embedded: DataMatrix):
     d = clf.means.shape[0]
     if x.shape[0] != d:
         raise ShapeMismatch(f"classifier expects d={d}, got {x.shape[0]}")
-    return _discriminant(x, clf.means, clf._chols, clf._logdets, clf.priors)
+    scores = np.empty((clf.priors.shape[0], x.shape[1]))
+    for j in range(clf.priors.shape[0]):
+        diff = x - clf.means[:, j : j + 1]
+        maha = np.einsum("ij,ij->j", diff, _solve(clf._chols[j], diff))
+        scores[j] = -0.5 * (maha + clf._logdets[j]) + np.log(clf.priors[j])
+    return np.argmax(scores, axis=0)
 
 
 # LDA and QDA keep their own entry points: profilers tell them apart by function.
@@ -171,31 +165,3 @@ def bayes_error_two_class(model: GaussianModel, proj=None):
 def _sample_class(model: GaussianModel, c, n, rng):
     z = rng.standard_normal((model.p, n))
     return model.means[:, c, None] + gaussian_noise(model.covariance_of(c), z)
-
-
-def bayes_error_monte_carlo(model: GaussianModel, proj=None, n_samples=100_000, seed=0):
-    """Monte Carlo Bayes error of the population-parameter classifier,
-    optionally in a projected space.  Returns (estimate, standard_error).
-    An n_samples below 1 raises ShapeMismatch.
-    """
-    if n_samples < 1:
-        raise ShapeMismatch(f"n_samples={n_samples} must be at least 1")
-    rng = np.random.default_rng(seed_sequence(seed))
-    c = model.num_classes
-    counts = rng.multinomial(n_samples, model.priors)
-    a = None if proj is None else as_matrix(proj)
-    params = [_project(a, model.means[:, j], model.covariance_of(j)) for j in range(c)]
-    means = np.column_stack([mu for mu, _ in params])
-    chols, logdets = zip(*(_factor(cov_as_dense(cov)) for _, cov in params))
-
-    wrong = 0
-    for j in range(c):
-        if counts[j] == 0:
-            continue
-        x = _sample_class(model, j, counts[j], rng)
-        if a is not None:
-            x = a.T @ x
-        wrong += int(np.sum(_discriminant(x, means, chols, logdets, model.priors) != j))
-    est = wrong / n_samples
-    se = float(np.sqrt(max(est * (1 - est), 1e-12) / n_samples))
-    return est, se

@@ -261,10 +261,12 @@ def fit_pls(dataset: LabeledDataset, d) -> Projection:
 
 
 def embed(proj: Projection, m: DataMatrix) -> DataMatrix:
-    """Apply a projection: returns the d x n matrix directions^T @ M."""
+    """Apply a projection: returns the d x n matrix directions^T @ M.  A
+    product that overflows raises NonFiniteData, without numpy's warning."""
     if proj.p != m.p:
         raise ShapeMismatch(f"projection is for p={proj.p}, data has p={m.p}")
-    return DataMatrix(proj.directions.T @ m.values)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return DataMatrix(proj.directions.T @ m.values)
 
 
 # --- serialization ---------------------------------------------------------

@@ -58,10 +58,6 @@ class SingularProjectedCov(LolkitError):
     pass
 
 
-class NotPositiveDefinite(LolkitError):
-    pass
-
-
 class DegenerateGamma(LolkitError):
     pass
 

@@ -39,21 +39,28 @@ class HotellingResult:
 
 def hotelling_two_sample(e0: DataMatrix, e1: DataMatrix) -> HotellingResult:
     """Two-sample Hotelling T^2 with pooled covariance (divide by
-    n0 + n1 - 2) and the exact F reference distribution."""
+    n0 + n1 - 2) and the exact F reference distribution.  A pooled
+    covariance or mean difference that overflows raises NonFiniteData; a
+    T^2 that overflows is inf, with p-value 0.0."""
     if e0.p != e1.p:
         raise ShapeMismatch(f"dimension mismatch: {e0.p} vs {e1.p}")
     d = e0.p
     n0, n1 = e0.n, e1.n
     if n0 + n1 - 2 < d:
         raise UnderdeterminedTest(f"d={d} exceeds n0+n1-2={n0 + n1 - 2}")
-    m0 = e0.values.mean(axis=1)
-    m1 = e1.values.mean(axis=1)
-    c0 = e0.values - m0[:, None]
-    c1 = e1.values - m1[:, None]
-    pooled = (c0 @ c0.T + c1 @ c1.T) / (n0 + n1 - 2)
-    diff = m0 - m1
+    with np.errstate(over="ignore", invalid="ignore"):
+        m0 = e0.values.mean(axis=1)
+        m1 = e1.values.mean(axis=1)
+        c0 = e0.values - m0[:, None]
+        c1 = e1.values - m1[:, None]
+        pooled = (c0 @ c0.T + c1 @ c1.T) / (n0 + n1 - 2)
+        diff = m0 - m1
+    if not (np.isfinite(pooled).all() and np.isfinite(diff).all()):
+        raise NonFiniteData("pooled covariance or mean difference of the embedded samples "
+                            "overflows")
     try:
-        t2 = float(n0 * n1 / (n0 + n1) * diff @ np.linalg.solve(pooled, diff))
+        with np.errstate(over="ignore"):
+            t2 = float(n0 * n1 / (n0 + n1) * diff @ np.linalg.solve(pooled, diff))
     except np.linalg.LinAlgError as exc:
         raise SingularProjectedCov(f"pooled covariance of the embedded samples: {exc}") from None
     df1 = d

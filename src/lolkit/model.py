@@ -228,12 +228,6 @@ def as_matrix(proj):
     return proj.directions if isinstance(proj, Projection) else np.asarray(proj, dtype=np.float64)
 
 
-def cov_as_dense(cov):
-    """Materialize a (possibly diagonal-vector) covariance as p x p."""
-    cov = np.asarray(cov, dtype=np.float64)
-    return np.diag(cov) if cov.ndim == 1 else cov
-
-
 def jittered_cholesky(cov):
     """Lower Cholesky factor of a dense p x p covariance plus a diagonal
     jitter of 1e-12 * trace / p, so singular PSD covariances factor."""

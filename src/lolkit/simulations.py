@@ -1,9 +1,10 @@
 """Synthetic Gaussian samplers with their exact population models.
 
 Each family returns both the sampled dataset and the population
-:class:`~lolkit.model.GaussianModel` so Bayes-error oracles can be
-evaluated against the truth.  Same (family, parameters, seed) always
-reproduces the dataset bit-for-bit.
+:class:`~lolkit.model.GaussianModel`, so a fit can be scored against the
+truth (``classifiers.bayes_error_two_class`` for the two-class shared
+families).  Same (family, parameters, seed) always reproduces the dataset
+bit-for-bit.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import toeplitz
 
-from .classifiers import bayes_error_monte_carlo, bayes_error_two_class
 from .errors import BadRho, PTooSmall, ShapeMismatch
 from .linalg import random_rotation, seed_sequence
 from .model import DataMatrix, GaussianModel, LabeledDataset, gaussian_noise
@@ -244,18 +244,3 @@ def sample(spec: SimSpec) -> SimSample | RegressionSample:
             mask = y == j
             x[:, mask] = model.means[:, j, None] + gaussian_noise(model.covariances[j], z[:, mask])
     return SimSample(LabeledDataset(DataMatrix(x), y, c), model)
-
-
-def bayes_error_of(spec: SimSpec, n_mc=200_000, mc_seed=0):
-    """Bayes error of the population model: closed form for shared-
-    covariance two-class families, Monte Carlo otherwise."""
-    if spec.family == "regression_linear":
-        raise ShapeMismatch("regression specs have no misclassification Bayes error")
-    model = population_model(spec)
-    if model.shared and model.num_classes == 2:
-        delta = model.means[:, 0] - model.means[:, 1]
-        if np.linalg.norm(delta) == 0:
-            return 0.5
-        return bayes_error_two_class(model)
-    est, _ = bayes_error_monte_carlo(model, n_samples=n_mc, seed=mc_seed)
-    return est

@@ -4,7 +4,6 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.stats import norm
 
 from lolkit.classifiers import (
-    bayes_error_monte_carlo,
     bayes_error_two_class,
     class_moments,
     fit_lda,
@@ -173,22 +172,6 @@ def test_bayes_error_of_an_overflowing_projected_covariance_is_a_lolkit_error():
     m = _model([1.0, 0.0], np.diag([1e300, 1.0]))
     with pytest.raises(NonFiniteData):
         bayes_error_two_class(m, np.array([[1e10], [0.0]]))
-
-
-def test_bayes_error_monte_carlo_matches_closed_form():
-    delta = np.array([1.5, 0.5, 0.0, -1.0])
-    cov = np.diag([1.0, 2.0, 3.0, 0.5])
-    m = _model(delta, cov)
-    exact = bayes_error_two_class(m)
-    est, se = bayes_error_monte_carlo(m, n_samples=200_000, seed=0)
-    assert abs(est - exact) < 3 * se + 1e-4
-
-
-def test_bayes_error_monte_carlo_deterministic():
-    m = _model([1.0, 0.0], np.eye(2))
-    a = bayes_error_monte_carlo(m, n_samples=10_000, seed=5)
-    b = bayes_error_monte_carlo(m, n_samples=10_000, seed=5)
-    assert a == b
 
 
 def test_lda_rotation_invariance():

@@ -389,6 +389,15 @@ def test_embed_matches_naive_multiply():
     assert np.allclose(out, naive, atol=1e-12)
 
 
+@pytest.mark.parametrize("directions", [[[1e200], [1e200]], [[1e200], [-1e200]]],
+                         ids=["inf", "nan"])
+def test_an_embedding_that_overflows_is_non_finite_data_without_a_warning(directions):
+    # the suite turns warnings into errors, so numpy's overflow or invalid
+    # warning would fail this test before NonFiniteData
+    with pytest.raises(NonFiniteData):
+        embed(Projection(np.array(directions), "x"), DataMatrix(np.full((2, 1), 1e200)))
+
+
 def test_projection_round_trip(tmp_path):
     ds = two_class(seed=17)
     proj = fit_lol(ds, 4, seed=2)

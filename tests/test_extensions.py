@@ -71,6 +71,22 @@ def test_hotelling_underdetermined():
         hotelling_two_sample(DataMatrix(np.zeros((5, 3))), DataMatrix(np.zeros((5, 3))))
 
 
+@pytest.mark.parametrize("e0, e1", [
+    ([[1e200, -1e200, 3e200]], [[2e200, 1e200, -1e200]]),  # the pooled covariance overflows
+    ([[1.5e308, 1.5e308]], [[0.0, 1.0]]),                  # a mean overflows
+], ids=["pooled-covariance", "mean"])
+def test_hotelling_refuses_samples_whose_moments_overflow(e0, e1):
+    # with the overflow ignored, the first pair gave t_squared=0.0 and p_value=1.0
+    with pytest.raises(NonFiniteData, match="overflows"):
+        hotelling_two_sample(DataMatrix(np.array(e0)), DataMatrix(np.array(e1)))
+
+
+def test_hotelling_t_squared_that_overflows_is_inf_with_p_value_zero():
+    res = hotelling_two_sample(DataMatrix(np.array([[1e200, 1e200]])),
+                               DataMatrix(np.array([[1.0, 2.0, 3.0]])))
+    assert (res.t_squared, res.p_value) == (np.inf, 0.0)
+
+
 def test_hotelling_invariant_under_invertible_maps():
     rng = np.random.default_rng(2)
     a = rng.standard_normal((4, 30)) + 0.3

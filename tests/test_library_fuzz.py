@@ -1,16 +1,18 @@
 """Fuzz test of the library's error contract beyond the k-fold protocol
 (Hypothesis).
 
-The seeded fits, ``make_fold_plan``, the simulation samplers, the Monte
-Carlo Bayes error, ``projected_test_power``, the Chernoff functions, the
-class moments and the classifiers fitted from them, and the quantile
-partition and regressions each return, or raise a LolkitError; nothing
-else may escape, and a fitted projection loads back from its file as it
-was saved.  Seeds are drawn around the valid range (negative, a float, a
-numpy integer, a bool), sample counts around 1, Gaussian pairs whose means
-and covariances have lengths 1-3 that need not agree, labels that are
-fractional, non-finite or strings, and targets that are non-finite or of
-the wrong shape.
+The seeded fits, ``make_fold_plan``, the simulation samplers, the
+closed-form Bayes error, ``projected_test_power``, the Chernoff gaps and
+quadratic form, the class moments and the classifiers fitted from them,
+``embed``, ``predict_lda``, ``predict_qda``, ``hotelling_two_sample``, and
+the quantile partition and regressions each return, or raise a
+LolkitError; nothing else may escape, and a fitted projection loads back
+from its file as it was saved.  Seeds are drawn around the valid range
+(negative, a float, a numpy integer, a bool), sample counts around 1,
+Gaussian pairs whose means and covariances have lengths 1-3 that need not
+agree, labels that are fractional, non-finite or strings, targets that
+are non-finite or of the wrong shape, and tiny arrays of any shape that
+hold NaN, inf or +-1e200, with widths outside the valid range.
 """
 
 import numpy as np
@@ -18,23 +20,32 @@ from hypothesis import given, settings, strategies as st
 
 from lolkit import chernoff
 from lolkit.benchmark import ALGORITHMS, fit_projection, make_fold_plan
-from lolkit.classifiers import bayes_error_monte_carlo, class_moments, fit_lda, fit_qda
-from lolkit.embeddings import load_projection, save_projection
+from lolkit.classifiers import (
+    bayes_error_two_class,
+    class_moments,
+    fit_lda,
+    fit_qda,
+    predict_lda,
+    predict_qda,
+)
+from lolkit.embeddings import embed, load_projection, save_projection
 from lolkit.errors import LolkitError
 from lolkit.extensions import (
+    hotelling_two_sample,
     lol_regression,
     mean_squared_error,
     pls1_regression,
     projected_test_power,
     quantile_partition,
 )
-from lolkit.model import DataMatrix, LabeledDataset
+from lolkit.model import DataMatrix, LabeledDataset, Projection
 from lolkit.simulations import FAMILIES, SimSpec, population_model, sample
 
 SEEDS = st.sampled_from([-2, -1, 0, 1, 2, 1.5, np.int64(3), True])
 ENTRIES = st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0])
 LABELS = st.sampled_from([0, 1, 2, 1.0, 0.5, -1, 3, np.nan, np.inf, "a"])
 TARGETS = st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0, 1e300, -1e300, np.nan, np.inf, -np.inf])
+EXTREMES = st.sampled_from([-1.0, 0.0, 1.0, 1e200, -1e200, np.nan, np.inf])
 TESTING_FAMILIES = ("toeplitz_diag", "toeplitz_dense", "trunk", "stacked_cigars")
 
 
@@ -109,9 +120,9 @@ def test_samplers_and_bayes_errors_return_or_raise_a_lolkit_error(data):
     _returns_or_raises_lolkit_error(population_model, spec)
     model = _returns_or_raises_lolkit_error(population_model, SimSpec(spec.family, spec.p, 2))
     if model is not None:
-        _returns_or_raises_lolkit_error(bayes_error_monte_carlo, model,
-                                        n_samples=draw(st.integers(-1, 3), label="n_samples"),
-                                        seed=draw(SEEDS, label="mc seed"))
+        proj = draw(st.none() | st.tuples(st.integers(1, 5), st.integers(1, 3)).flatmap(
+            lambda s: matrices(*s)), label="projection")
+        _returns_or_raises_lolkit_error(bayes_error_two_class, model, proj)
     test_spec = draw(specs(TESTING_FAMILIES + ("cross",), st.integers(3, 8)), label="test spec")
     _returns_or_raises_lolkit_error(projected_test_power, test_spec,
                                     draw(st.sampled_from(ALGORITHMS), label="method"),
@@ -126,9 +137,6 @@ def test_chernoff_functions_return_or_raise_a_lolkit_error(data):
     draw = data.draw
     f0 = draw(gaussians(), label="f0")
     f1 = draw(gaussians(), label="f1")
-    t = draw(st.sampled_from([0.0, 0.25, 0.5, 1.0]), label="t")
-    _returns_or_raises_lolkit_error(chernoff.chernoff_divergence_t, f0, f1, t)
-    _returns_or_raises_lolkit_error(chernoff.chernoff_gaussian, f0, f1)
     delta, sigma = f0[0], f1[1]
     d = draw(st.integers(0, 4), label="d")
     for gap in (chernoff.lol_vs_lda_gap, chernoff.lol_vs_pca_gap, chernoff.pooled_top_eigvecs):
@@ -182,3 +190,37 @@ def test_labels_and_targets_return_or_raise_a_lolkit_error(data):
         if model is not None:
             _returns_or_raises_lolkit_error(mean_squared_error, model, x,
                                             draw(targets(n), label="test target"))
+
+
+@st.composite
+def arrays(draw, rows):
+    """A tiny array of EXTREMES with ``rows`` rows and 0-3 columns, or one
+    time in five a 1-D or a 3-D array."""
+    kind = draw(st.sampled_from(["2-D", "2-D", "2-D", "1-D", "3-D"]))
+    shape = {"2-D": (rows, draw(st.integers(0, 3))), "1-D": (rows,), "3-D": (1, 1, 1)}[kind]
+    size = int(np.prod(shape))
+    return np.array(draw(st.lists(EXTREMES, min_size=size, max_size=size))).reshape(shape)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_embed_predict_and_hotelling_return_or_raise_a_lolkit_error(data):
+    draw = data.draw
+    p = draw(st.integers(0, 3), label="p")
+    other_p = st.sampled_from([p, p, p, p + 1])
+    directions = draw(arrays(p), label="directions")
+    width = draw(st.integers(0, 3), label="width")
+    x = draw(other_p.flatmap(arrays), label="x")
+    _returns_or_raises_lolkit_error(
+        lambda: embed(Projection(directions, "x").prefix(width), DataMatrix(x)))
+    e0 = draw(arrays(p), label="e0")
+    e1 = draw(other_p.flatmap(arrays), label="e1")
+    _returns_or_raises_lolkit_error(lambda: hotelling_two_sample(DataMatrix(e0), DataMatrix(e1)))
+    ds = draw(datasets(), label="training set")
+    moments = class_moments(ds.data, ds.labels, ds.num_classes)
+    for fit, predict in ((fit_lda, predict_lda), (fit_qda, predict_qda)):
+        clf = _returns_or_raises_lolkit_error(fit, moments)
+        if clf is not None:
+            test_x = draw(st.sampled_from([ds.p, ds.p, ds.p, ds.p - 1, ds.p + 1]).flatmap(arrays),
+                          label="test x")
+            _returns_or_raises_lolkit_error(lambda: predict(clf, DataMatrix(test_x)))

@@ -8,8 +8,8 @@ per branch whether a covariance is a diagonal vector or a dense matrix,
 read the outlier fraction and the regression coefficients from the spec,
 and spread the subsample remainder in a loop with an escape.  The current
 code draws every Gaussian through ``model.gaussian_noise`` and spreads
-the remainder in one pass; every draw, label, Monte Carlo estimate, test
-power and subsample must be the same.
+the remainder in one pass; every draw, label, class sample, test power
+and subsample must be the same.
 """
 
 from types import SimpleNamespace
@@ -18,9 +18,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lolkit import classifiers, extensions
+from lolkit import extensions
 from lolkit.benchmark import _stratified_subsample
-from lolkit.classifiers import bayes_error_monte_carlo
+from lolkit.classifiers import _sample_class
 from lolkit.errors import LolkitError, PTooSmall, ShapeMismatch
 from lolkit.extensions import projected_test_power
 from lolkit.model import DataMatrix, GaussianModel, LabeledDataset, jittered_cholesky
@@ -190,13 +190,15 @@ MODEL_SPECS = [("stacked_cigars", 6), ("rotated_trunk", 5), ("trunk3", 7), ("cro
 
 
 @pytest.mark.parametrize("family, p", MODEL_SPECS)
-def test_monte_carlo_bayes_error_is_unchanged(monkeypatch, family, p):
+def test_sample_class_draws_what_the_per_branch_sampler_drew(family, p):
+    # every class in turn from one stream, so the draws must use it alike
     model = population_model(SimSpec(family, p, 10, seed=3))
-    proj = np.linalg.qr(np.random.default_rng(1).standard_normal((p, 2)))[0]
-    got = [bayes_error_monte_carlo(model, a, n_samples=3000, seed=5) for a in (None, proj)]
-    monkeypatch.setattr(classifiers, "_sample_class", reference_sample_class)
-    want = [bayes_error_monte_carlo(model, a, n_samples=3000, seed=5) for a in (None, proj)]
-    assert got == want
+    got_rng, want_rng = np.random.default_rng(5), np.random.default_rng(5)
+    for c in range(model.num_classes):
+        for n in (1, 40):
+            got = _sample_class(model, c, n, got_rng)
+            want = reference_sample_class(model, c, n, want_rng)
+            assert _same(got, want), (c, n)
 
 
 @pytest.mark.parametrize("family", ["toeplitz_diag", "toeplitz_dense", "trunk", "stacked_cigars"])

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
+from lolkit.classifiers import bayes_error_two_class
 from lolkit.errors import BadRho, PTooSmall, ShapeMismatch
 from lolkit.simulations import (
     RegressionSample,
     SimSpec,
-    bayes_error_of,
     population_model,
     sample,
 )
@@ -149,20 +149,21 @@ def test_empirical_means_match_population():
         assert np.all(np.abs(emp - sim.model.means[:, c]) < 3.5 * se)
 
 
+def _bayes_error(spec):
+    return bayes_error_two_class(population_model(spec))
+
+
 def test_bayes_error_trunk_and_rotation_invariance():
-    be_trunk = bayes_error_of(SimSpec("trunk", 20, 10, seed=0))
-    be_rot = bayes_error_of(SimSpec("rotated_trunk", 20, 10, seed=0))
+    be_trunk = _bayes_error(SimSpec("trunk", 20, 10, seed=0))
+    be_rot = _bayes_error(SimSpec("rotated_trunk", 20, 10, seed=0))
     assert abs(be_trunk - be_rot) < 1e-10
-    # closed form vs Monte Carlo on the non-shared Cross family
-    be_cross = bayes_error_of(SimSpec("cross", 9, 10, seed=0), n_mc=50_000)
-    assert 0.0 < be_cross < 0.5
 
 
 def test_bayes_error_degenerate_delta():
     spec = SimSpec("trunk", 5, 10, params={"b": 0.0})
-    assert bayes_error_of(spec) == 0.5
+    assert _bayes_error(spec) == 0.5
 
 
 def test_bayes_error_regression_rejected():
-    with pytest.raises(ShapeMismatch):
-        bayes_error_of(SimSpec("regression_linear", 5, 10))
+    with pytest.raises(ShapeMismatch, match="no Gaussian class model"):
+        _bayes_error(SimSpec("regression_linear", 5, 10))
