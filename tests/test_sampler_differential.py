@@ -190,7 +190,7 @@ MODEL_SPECS = [("stacked_cigars", 6), ("rotated_trunk", 5), ("trunk3", 7), ("cro
 
 
 @pytest.mark.parametrize("family, p", MODEL_SPECS)
-def test_sample_class_draws_what_the_per_branch_sampler_drew(family, p):
+def test_sample_class_matches_the_per_branch_sampler(family, p):
     # every class in turn from one stream, so the draws must use it alike
     model = population_model(SimSpec(family, p, 10, seed=3))
     got_rng, want_rng = np.random.default_rng(5), np.random.default_rng(5)
