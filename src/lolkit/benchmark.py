@@ -18,7 +18,6 @@ import math
 import os
 import warnings
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -45,14 +44,9 @@ from .model import DataMatrix, LabeledDataset
 
 SCHEMA_VERSION = 1
 
-# the NaN spellings are every stripped cell that float() turns into NaN
+# a stripped cell is missing when its lower case is one of these; the NaN
+# spellings are every cell that float() turns into NaN
 _MISSING = {"", "na", "nan", "+nan", "-nan", "n/a", "?", "null", "none"}
-# every upper/lower-case spelling of a _MISSING token.  No character
-# outside ASCII lowers to a character of these tokens, so a cell is in
-# this set exactly when cell.lower() is in _MISSING.
-_MISSING_ANY_CASE = frozenset(
-    "".join(spelling) for token in _MISSING for spelling in product(*zip(token, token.upper()))
-)
 
 # a feature column holding a cell that float() rejects is one-hot encoded
 # when it has fewer distinct cells than this, and refused otherwise
@@ -115,7 +109,7 @@ def load_csv(path, label_column) -> LoadedCsv:
                         )
                     n_rows += 1
                     row = list(map(str.strip, row))
-                    if _MISSING_ANY_CASE.isdisjoint(row):
+                    if _MISSING.isdisjoint(map(str.lower, row)):
                         table.add(row)
         except UnicodeDecodeError as exc:
             raise ParseFailure(f"{path}: not UTF-8 text ({exc.reason})") from None
@@ -207,7 +201,7 @@ def _numeric_table(fh, delimiter, width, label_idx):
         codes = data[:, label_idx].astype(np.intp)
         # the label column holds codes, so a NaN is a feature's missing cell
         drop = np.isnan(data).any(axis=1) | np.isin(
-            codes, [c for v, c in label_codes.items() if v in _MISSING_ANY_CASE])
+            codes, [c for v, c in label_codes.items() if v.lower() in _MISSING])
         n_read = len(data)
         if drop.any():
             data, codes = data[~drop], codes[~drop]
@@ -584,17 +578,6 @@ def select_rstar(curve: ErrorCurve):
     return int(ok[0]) + 1
 
 
-def _chance_rates(plan):
-    labels = plan.dataset.labels
-    rates = np.empty(plan.k)
-    for j in range(plan.k):
-        train_labels = labels[plan.train_subsets[j]]
-        mode = int(np.argmax(np.bincount(train_labels)))
-        rate = float(np.mean(labels[plan.folds[j]] != mode))
-        rates[j] = rate if rate > 0 else np.nan  # degenerate fold: no chance scale
-    return rates
-
-
 def normalized_report(curves, plan: FoldPlan):
     """Per-algorithm r*, error at r*, and LOL-relative normalized metrics."""
     by_tag = {c.algorithm: c for c in curves}
@@ -604,7 +587,12 @@ def normalized_report(curves, plan: FoldPlan):
             raise ShapeMismatch(f"curve {curve.algorithm!r} has {curve.rates.shape[0]} "
                                 f"folds, the plan {plan.k}")
     p = plan.dataset.p
-    chance = _chance_rates(plan)
+    labels = plan.dataset.labels
+    chance = np.empty(plan.k)
+    for j in range(plan.k):
+        mode = int(np.argmax(np.bincount(labels[plan.train_subsets[j]])))
+        rate = float(np.mean(labels[plan.folds[j]] != mode))
+        chance[j] = rate if rate > 0 else np.nan  # degenerate fold: no chance scale
 
     lol_curve = by_tag["lol"]
     r_lol = select_rstar(lol_curve)

@@ -2,8 +2,9 @@
 Gaussian pair.
 
 Every value is in the ``raw`` convention: the quadratic form
-delta' A (A' Sigma A)^-1 A' delta of a projection A.  The Chernoff
-information proper of the projected pair is raw / 8.
+q = delta' A (A' Sigma A)^-1 A' delta of a projection A.  The Chernoff
+information proper of the projected pair is q / 8, and its equal-prior
+Bayes error Phi(-sqrt(q) / 2).
 """
 
 from __future__ import annotations
@@ -18,28 +19,53 @@ from .errors import (
     SingularProjectedCov,
     TooFewDims,
 )
-from .linalg import _cholesky, _project, _solve
-from .model import as_matrix
+from .linalg import _cholesky, _solve
+from .model import Projection
 
 
 def projected_chernoff_quadform(a, delta, sigma):
-    """delta' A (A' Sigma A)^-1 A' delta (raw convention; scaled = /8)."""
-    proj_delta, proj_cov = _project(as_matrix(a), np.asarray(delta, dtype=np.float64),
-                                    np.asarray(sigma, dtype=np.float64))
-    try:
-        chol = _cholesky(proj_cov)
-    except np.linalg.LinAlgError:
-        # a relative ridge with no absolute floor: a zero projection stays singular
-        d = proj_cov.shape[0]
-        ridged = proj_cov + 1e-8 * np.trace(proj_cov) / d * np.eye(d)
+    """q = delta' A (A' Sigma A)^-1 A' delta (raw convention; scaled = /8),
+    behind every gap and the Bayes error Phi(-sqrt(q) / 2).  ``a`` is a
+    p x d array, a Projection or None (the identity); Sigma is p x p or a
+    diagonal's vector.  Shapes that do not fit raise ShapeMismatch, a
+    projection that overflows NonFiniteData, and a covariance singular
+    even after a relative ridge SingularProjectedCov."""
+    delta = np.asarray(delta, dtype=np.float64)
+    sigma = np.asarray(sigma, dtype=np.float64)
+    if a is not None:
+        a = a.directions if isinstance(a, Projection) else np.asarray(a, dtype=np.float64)
+    if delta.ndim != 1 or sigma.shape not in (delta.shape, delta.shape * 2) or (
+            a is not None and (a.ndim != 2 or a.shape[:1] != delta.shape)):
+        raise ShapeMismatch(f"A has shape {getattr(a, 'shape', None)}, delta {delta.shape} "
+                            f"and Sigma {sigma.shape}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        if a is None and sigma.ndim == 1:
+            if np.any(sigma <= 0):
+                raise SingularProjectedCov("diagonal covariance has nonpositive entries")
+            return float(np.sum(delta * delta / sigma))
+        if a is not None:
+            sigma = a.T @ (sigma[:, None] * a) if sigma.ndim == 1 else a.T @ sigma @ a
+            delta = a.T @ delta
+        if not np.isfinite(delta).all():
+            raise NonFiniteData("projected mean difference contains NaN or Inf entries")
         try:
-            chol = _cholesky(ridged)
-        except np.linalg.LinAlgError as exc:
-            raise SingularProjectedCov("projected covariance is singular") from exc
-    return float(proj_delta @ _solve(chol, proj_delta))
+            chol = _cholesky(sigma)
+        except np.linalg.LinAlgError:
+            # a relative ridge with no absolute floor: a zero projection stays singular
+            d = sigma.shape[0]
+            ridged = sigma + 1e-8 * np.trace(sigma) / d * np.eye(d)
+            try:
+                chol = _cholesky(ridged)
+            except np.linalg.LinAlgError as exc:
+                raise SingularProjectedCov("projected covariance is singular") from exc
+        return float(delta @ _solve(chol, delta))
 
 
 def _eigh_desc(sigma):
+    # eigh of an entry that overflowed would give NaN eigenvalues, and no
+    # error; Sigma itself is finite, so only the pooled covariance can fail
+    if not np.isfinite(sigma).all():
+        raise NonFiniteData("the pooled covariance Sigma + delta delta'/4 overflows")
     lam, u = np.linalg.eigh(np.asarray(sigma, dtype=np.float64))
     return lam[::-1], u[:, ::-1]
 
@@ -82,9 +108,18 @@ def _lol_quadform(delta, sigma, d):
     )
     # gamma must be positive: the bound is 0 for a zero Sigma, and abs keeps
     # it from going negative for an indefinite one
-    if gamma <= 1e-14 * (delta @ delta) * abs(lam[0]):
+    bound = 1e-14 * float(delta @ delta) * abs(lam[0])
+    if not np.isfinite([num, gamma, bound]).all():
+        raise NonFiniteData("delta' delta or delta' Sigma delta overflows")
+    if gamma <= bound:
         raise DegenerateGamma("delta lies in the span of the top d-1 eigenvectors")
     return num * num / gamma + _truncated_pinv_quad(delta, lam, u, d - 1), lam, u
+
+
+def _finite_gap(gap):
+    if not np.isfinite(gap):
+        raise NonFiniteData(f"the gap's terms overflow: {gap}")
+    return gap
 
 
 def lol_vs_lda_gap(delta, sigma, d):
@@ -93,8 +128,9 @@ def lol_vs_lda_gap(delta, sigma, d):
     delta, sigma = _gap_inputs(delta, sigma, d)
     if not np.any(delta):
         return 0.0
-    lol_term, lam, u = _lol_quadform(delta, sigma, d)
-    return lol_term - _truncated_pinv_quad(delta, lam, u, d)
+    with np.errstate(over="ignore", invalid="ignore"):
+        lol_term, lam, u = _lol_quadform(delta, sigma, d)
+        return _finite_gap(lol_term - _truncated_pinv_quad(delta, lam, u, d))
 
 
 def lol_vs_pca_gap(delta, sigma, d):
@@ -103,20 +139,20 @@ def lol_vs_pca_gap(delta, sigma, d):
     delta, sigma = _gap_inputs(delta, sigma, d)
     if not np.any(delta):
         return 0.0
-    lol_term, _, _ = _lol_quadform(delta, sigma, d)
-    pooled = sigma + 0.25 * np.outer(delta, delta)
-    lam_p, u_p = _eigh_desc(pooled)
-    q = _truncated_pinv_quad(delta, lam_p, u_p, d)
+    with np.errstate(over="ignore", invalid="ignore"):
+        lol_term, _, _ = _lol_quadform(delta, sigma, d)
+        lam_p, u_p = _eigh_desc(sigma + 0.25 * np.outer(delta, delta))
+        q = _truncated_pinv_quad(delta, lam_p, u_p, d)
     denom = 4.0 - q
     if denom < 1e-12:
         raise PooledDenominatorDegenerate(f"4 - delta' pooled_d^+ delta = {denom}")
-    return lol_term - 4.0 * q / denom
+    return _finite_gap(lol_term - 4.0 * q / denom)
 
 
 def pooled_top_eigvecs(delta, sigma, d):
     """Top-d eigenvectors of Sigma + delta delta'/4 (the PCA map).  Inputs
     are checked as the gaps check them (see _gap_inputs)."""
     delta, sigma = _gap_inputs(delta, sigma, d)
-    pooled = sigma + 0.25 * np.outer(delta, delta)
-    _, u = _eigh_desc(pooled)
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, u = _eigh_desc(sigma + 0.25 * np.outer(delta, delta))
     return u[:, :d]

@@ -14,9 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeMismatch, SingularProjectedCov, UnderdeterminedClassifier
-from .linalg import _cholesky, _factor, _project, _solve
-from .model import DataMatrix, GaussianModel, as_matrix, gaussian_noise, label_counts
+from .chernoff import projected_chernoff_quadform
+from .errors import NonFiniteData, ShapeMismatch, UnderdeterminedClassifier
+from .linalg import _cholesky, _solve
+from .model import DataMatrix, GaussianModel, gaussian_noise, label_counts
 
 RIDGE_REL = 1e-8
 
@@ -92,10 +93,14 @@ def _predict(clf: GaussianClassifier, embedded: DataMatrix):
     if x.shape[0] != d:
         raise ShapeMismatch(f"classifier expects d={d}, got {x.shape[0]}")
     scores = np.empty((clf.priors.shape[0], x.shape[1]))
-    for j in range(clf.priors.shape[0]):
-        diff = x - clf.means[:, j : j + 1]
-        maha = np.einsum("ij,ij->j", diff, _solve(clf._chols[j], diff))
-        scores[j] = -0.5 * (maha + clf._logdets[j]) + np.log(clf.priors[j])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(clf.priors.shape[0]):
+            diff = x - clf.means[:, j : j + 1]
+            maha = np.einsum("ij,ij->j", diff, _solve(clf._chols[j], diff))
+            scores[j] = -0.5 * (maha + clf._logdets[j]) + np.log(clf.priors[j])
+    # argmax would give class 0 to a point every class scores -inf or NaN
+    if not np.isfinite(scores).any(axis=0).all():
+        raise NonFiniteData("a test point's distance to every class overflows")
     return np.argmax(scores, axis=0)
 
 
@@ -107,7 +112,9 @@ def fit_lda(moments: ClassMoments) -> GaussianClassifier:
     """LDA: one pooled within-class covariance."""
     _check_determined(moments)
     centered = moments.centered
-    cov = _ridge(centered @ centered.T / centered.shape[1])
+    # a covariance that overflows reaches _cholesky, which raises NonFiniteData
+    with np.errstate(over="ignore", invalid="ignore"):
+        cov = _ridge(centered @ centered.T / centered.shape[1])
     chol = _cholesky(cov)
     c = moments.means.shape[1]
     return GaussianClassifier(moments.priors, moments.means, (cov,) * c, (chol,) * c,
@@ -121,9 +128,11 @@ def predict_lda(clf: GaussianClassifier, embedded: DataMatrix):
 def fit_qda(moments: ClassMoments) -> GaussianClassifier:
     """QDA: one covariance per class."""
     _check_determined(moments)
-    covs = tuple(_ridge(xc @ xc.T / k) for xc, k in zip(moments.blocks, moments.counts))
-    chols, logdets = zip(*map(_factor, covs))
-    return GaussianClassifier(moments.priors, moments.means, covs, chols, np.array(logdets))
+    with np.errstate(over="ignore", invalid="ignore"):
+        covs = tuple(_ridge(xc @ xc.T / k) for xc, k in zip(moments.blocks, moments.counts))
+    chols = tuple(map(_cholesky, covs))
+    logdets = np.array([2.0 * np.sum(np.log(np.diag(chol))) for chol in chols])
+    return GaussianClassifier(moments.priors, moments.means, covs, chols, logdets)
 
 
 def predict_qda(clf: GaussianClassifier, embedded: DataMatrix):
@@ -139,24 +148,15 @@ def misclassification_rate(pred, truth):
 
 
 def bayes_error_two_class(model: GaussianModel, proj=None):
-    """Phi(-sqrt(delta' Sigma^-1 delta) / 2) for an equal-prior two-class
-    shared-covariance Gaussian model, optionally after projecting."""
+    """Phi(-sqrt(q) / 2) for an equal-prior two-class shared-covariance
+    Gaussian model, q the quadratic form delta' A (A' Sigma A)^-1 A' delta
+    of chernoff.projected_chernoff_quadform, with A = ``proj`` or the identity."""
     if model.num_classes != 2 or not model.shared:
         raise ShapeMismatch("closed form needs C=2 with a shared covariance")
     if abs(model.priors[0] - 0.5) > 1e-12:
         raise ShapeMismatch("closed form needs equal priors")
-    a = None if proj is None else as_matrix(proj)
-    delta, cov = _project(a, model.means[:, 0] - model.means[:, 1], model.covariance_of(0))
-    if cov.ndim == 1:
-        if np.any(cov <= 0):
-            raise SingularProjectedCov("diagonal covariance has nonpositive entries")
-        quad = float(np.sum(delta * delta / cov))
-    else:
-        try:
-            chol = _cholesky(cov)
-        except np.linalg.LinAlgError as exc:
-            raise SingularProjectedCov(str(exc)) from exc
-        quad = float(delta @ _solve(chol, delta))
+    quad = projected_chernoff_quadform(proj, model.means[:, 0] - model.means[:, 1],
+                                       model.covariance_of(0))
     # imported here, not at module level: scipy.special adds about 4 MB to every process
     from scipy.special import ndtr
     return float(ndtr(-0.5 * np.sqrt(quad)))

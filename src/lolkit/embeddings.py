@@ -46,8 +46,9 @@ def _delta_block(locations, priors):
     """
     order = np.lexsort((np.arange(priors.shape[0]), -priors))
     loc = locations[:, order]
-    deltas = loc[:, 0:1] - loc[:, 1:]
-    norms = np.linalg.norm(deltas, axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        deltas = loc[:, 0:1] - loc[:, 1:]
+        norms = np.linalg.norm(deltas, axis=0)
     # an overflowing norm would divide every difference to zero
     if not np.isfinite(norms).all():
         raise NonFiniteData("a class location difference has a norm that overflows")
@@ -143,20 +144,6 @@ def fit_qoq(dataset: LabeledDataset, d, svd_mode="auto", seed=0) -> Projection:
     return _assemble(delta, eig, "qoq", seed)
 
 
-def _winsorize_by_mad(z):
-    # clip each coordinate at +-3 robust standard deviations; coordinates
-    # with zero MAD are left untouched
-    med = np.median(z, axis=1, keepdims=True)
-    mad = np.median(np.abs(z - med), axis=1, keepdims=True)
-    sigma = 1.4826 * mad
-    lo = -3.0 * sigma
-    hi = 3.0 * sigma
-    keep = sigma[:, 0] == 0
-    out = np.clip(z, lo, hi)
-    out[keep] = z[keep]
-    return out
-
-
 def fit_rlol(dataset: LabeledDataset, d, svd_mode="auto", seed=0) -> Projection:
     """Robust LOL: class medians as locations, MAD-winsorized centered
     data for the eigenvector block."""
@@ -171,8 +158,15 @@ def fit_rlol(dataset: LabeledDataset, d, svd_mode="auto", seed=0) -> Projection:
     delta = _delta_block(medians, priors)
     eig = None
     if k:
-        centered = x - medians[:, y]
-        eig = truncated_svd(_winsorize_by_mad(centered), k, mode=svd_mode, seed=seed).U
+        # clip each coordinate at +-3 robust standard deviations; coordinates
+        # with zero MAD are left untouched
+        z = x - medians[:, y]
+        med = np.median(z, axis=1, keepdims=True)
+        sigma = 1.4826 * np.median(np.abs(z - med), axis=1, keepdims=True)
+        clipped = np.clip(z, -3.0 * sigma, 3.0 * sigma)
+        keep = sigma[:, 0] == 0
+        clipped[keep] = z[keep]
+        eig = truncated_svd(clipped, k, mode=svd_mode, seed=seed).U
     return _assemble(delta, eig, "rlol", seed)
 
 
@@ -227,16 +221,21 @@ def _pls_weights(x, targets, d):
     """
     weights = np.empty((x.shape[0], d))
     for comp in range(d):
-        cross = x @ targets.T
-        if not np.any(cross):
-            raise DegenerateTarget(f"zero cross-product at component {comp}")
-        u = np.linalg.svd(cross, full_matrices=False)[0]
-        w = _fix_signs(u[:, :1])[0][:, 0]
-        t = x.T @ w
-        tt = t @ t
-        if tt == 0:
-            raise DegenerateTarget(f"zero score vector at component {comp}")
-        x -= np.outer(x @ t / tt, t)
+        with np.errstate(over="ignore", invalid="ignore"):
+            cross = x @ targets.T
+            if not np.any(cross):
+                raise DegenerateTarget(f"zero cross-product at component {comp}")
+            if not np.isfinite(cross).all():
+                raise NonFiniteData(f"the cross-product overflows at component {comp}")
+            u = np.linalg.svd(cross, full_matrices=False)[0]
+            w = _fix_signs(u[:, :1])[0][:, 0]
+            t = x.T @ w
+            tt = t @ t
+            if tt == 0:
+                raise DegenerateTarget(f"zero score vector at component {comp}")
+            if not np.isfinite(tt):
+                raise NonFiniteData(f"the score vector overflows at component {comp}")
+            x -= np.outer(x @ t / tt, t)
         weights[:, comp] = w
     return weights
 

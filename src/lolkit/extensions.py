@@ -77,10 +77,6 @@ def hotelling_two_sample(e0: DataMatrix, e1: DataMatrix) -> HotellingResult:
                            p_value=p_value)
 
 
-def _rep_seed(seed, rep):
-    return int(seed_sequence(seed, rep).generate_state(1)[0])
-
-
 def projected_test_power(spec: SimSpec, method, d, alpha=0.05, reps=200, seed=0, split=False):
     """Empirical rejection rate of projection + Hotelling over ``reps``
     draws of spec.n // 2 samples per class from a two-class setting.
@@ -98,7 +94,7 @@ def projected_test_power(spec: SimSpec, method, d, alpha=0.05, reps=200, seed=0,
         raise ShapeMismatch(f"reps={reps} must be at least 1")
     rejections = 0
     for rep in range(reps):
-        rs = _rep_seed(seed, rep)
+        rs = int(seed_sequence(seed, rep).generate_state(1)[0])
         model = population_model(SimSpec(spec.family, spec.p, 2, rs, dict(spec.params)))
         rng = np.random.default_rng(seed_sequence(seed, rep, 1))
         x0 = _sample_class(model, 0, m, rng)

@@ -2,8 +2,8 @@
 
 Seeds, truncated SVD (exact and Halko-style randomized), very sparse random
 projection columns, Haar-uniform rotations, the implicit-operator
-eigensolver used by low-rank CCA, and the Cholesky, solve and Gaussian
-projection that the classifiers and the Chernoff theory share.
+eigensolver used by low-rank CCA, and the Cholesky and solve that the
+classifiers and the Chernoff quadratic form share.
 """
 
 from __future__ import annotations
@@ -202,21 +202,3 @@ def _solve(chol, b):
     """cho_solve((chol, True), b) through LAPACK's dpotrs, without scipy's wrappers."""
     return dpotrs(chol, b, lower=1)[0]
 
-
-def _factor(cov):
-    chol = _cholesky(cov)
-    return chol, 2.0 * np.sum(np.log(np.diag(chol)))
-
-
-def _project(a, mean, cov):
-    """(A' mean, A' cov A) for a dense or diagonal-vector covariance;
-    unchanged when ``a`` is None.  An A that is not p x d for the mean's
-    length p, or a covariance that is neither p x p nor of length p,
-    raises ShapeMismatch."""
-    if a is None:
-        return mean, cov
-    if a.ndim != 2 or mean.shape != a.shape[:1] or cov.shape not in (mean.shape, mean.shape * 2):
-        raise ShapeMismatch(f"A has shape {a.shape}, the mean {mean.shape} and the "
-                            f"covariance {cov.shape}")
-    cov_a = a.T @ (cov[:, None] * a) if cov.ndim == 1 else a.T @ cov @ a
-    return a.T @ mean, cov_a

@@ -223,11 +223,6 @@ class GaussianModel:
         return self.covariances[0] if self.shared else self.covariances[c]
 
 
-def as_matrix(proj):
-    """The p x d direction matrix of a Projection, or an array as float64."""
-    return proj.directions if isinstance(proj, Projection) else np.asarray(proj, dtype=np.float64)
-
-
 def jittered_cholesky(cov):
     """Lower Cholesky factor of a dense p x p covariance plus a diagonal
     jitter of 1e-12 * trace / p, so singular PSD covariances factor."""

@@ -105,22 +105,6 @@ def _toeplitz_sigma(p, rho, frobenius):
     return sigma
 
 
-def _toeplitz_model(spec, rng):
-    prm = spec.params
-    sigma = _toeplitz_sigma(spec.p, prm["rho"], prm["frobenius"])
-    lam = np.linalg.eigvalsh(sigma)[::-1].copy()
-    mu1 = rng.standard_normal(spec.p)
-    mu1 = prm["delta_scale"] * mu1 / np.linalg.norm(mu1)
-    mu0 = np.zeros(spec.p)
-    if spec.family == "toeplitz_diag":
-        cov = lam  # diagonal with the Toeplitz eigenvalues
-    else:
-        q = random_rotation(spec.p, rng.integers(2**63))
-        cov = (q * lam) @ q.T
-        cov = 0.5 * (cov + cov.T)
-    return mu0, mu1, cov
-
-
 def _build_model(spec: SimSpec, rng) -> GaussianModel:
     """Population model of a classification family.
 
@@ -186,8 +170,16 @@ def _build_model(spec: SimSpec, rng) -> GaussianModel:
         return GaussianModel(np.array([0.5, 0.5]), means, (diag0, diag1), shared=False)
 
     if spec.family in ("toeplitz_diag", "toeplitz_dense"):
-        mu0, mu1, cov = _toeplitz_model(spec, rng)
-        means = np.column_stack([mu0, mu1])
+        prm = spec.params
+        lam = np.linalg.eigvalsh(_toeplitz_sigma(p, prm["rho"], prm["frobenius"]))[::-1].copy()
+        mu1 = rng.standard_normal(p)
+        means = np.column_stack([np.zeros(p), prm["delta_scale"] * mu1 / np.linalg.norm(mu1)])
+        if spec.family == "toeplitz_diag":
+            cov = lam  # diagonal with the Toeplitz eigenvalues
+        else:
+            q = random_rotation(p, rng.integers(2**63))
+            cov = (q * lam) @ q.T
+            cov = 0.5 * (cov + cov.T)
         return GaussianModel(np.array([0.5, 0.5]), means, (cov,), shared=True)
 
     raise ShapeMismatch(f"family {spec.family!r} has no Gaussian class model")

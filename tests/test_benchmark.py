@@ -11,8 +11,6 @@ import pytest
 from lolkit import benchmark, model
 from lolkit import embeddings as emb
 from lolkit.benchmark import (
-    _MISSING,
-    _MISSING_ANY_CASE,
     ALGORITHMS,
     ErrorCurve,
     curves_rows,
@@ -203,18 +201,6 @@ def _raised(fn, *args):
     except LolkitError as exc:
         return type(exc), str(exc)
     return None
-
-
-def test_missing_tokens_in_any_case_are_the_lowercase_rule():
-    # the loader tests cells against every case spelling of the tokens,
-    # which equals testing cell.lower() only if no other character lowers
-    # to a character of a token
-    token_chars = set("".join(_MISSING))
-    odd = [c for c in map(chr, range(sys.maxunicode + 1))
-           if not c.isascii() and not token_chars.isdisjoint(c.lower())]
-    assert odd == []
-    assert {s.lower() for s in _MISSING_ANY_CASE} == _MISSING
-    assert "nOnE" in _MISSING_ANY_CASE and "N/a" in _MISSING_ANY_CASE
 
 
 def _zeros_dataset(p, labels):
@@ -411,8 +397,7 @@ def test_sweep_records_linalg_failures_as_missing_cells(monkeypatch):
     assert np.isfinite(lol.rates[:, 0]).all()
 
 
-# numpy warns when the scatter overflows, before lolkit sees the inf
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+# values near 1e160 square to inf
 def test_sweep_records_an_overflowing_covariance_as_missing_cells():
     ds = trunk_dataset(p=6, n=40, seed=3)
     big = LabeledDataset(DataMatrix(ds.data.values * 1e160), ds.labels, 2)

@@ -25,14 +25,14 @@ def random_instance(rng, p):
     return delta, sigma
 
 
-# NaN, not inf: an infinite entry makes numpy warn inside the projection's matmul
 def _nan_covariance():
     return np.array([[1.0, np.nan], [np.nan, 2.0]])
 
 
 def test_a_nan_covariance_is_non_finite_data():
-    with pytest.raises(NonFiniteData):
-        projected_chernoff_quadform(np.eye(2), np.ones(2), _nan_covariance())
+    for sigma in (_nan_covariance(), np.diag([np.inf, 1.0])):
+        with pytest.raises(NonFiniteData):
+            projected_chernoff_quadform(np.eye(2), np.ones(2), sigma)
     for gap in (lol_vs_lda_gap, lol_vs_pca_gap):
         with pytest.raises(NonFiniteData):
             gap(np.ones(2), _nan_covariance(), 1)
@@ -69,6 +69,29 @@ def test_quadform_identity_projection():
     delta, sigma = random_instance(rng, 5)
     full = projected_chernoff_quadform(np.eye(5), delta, sigma)
     assert abs(full - delta @ np.linalg.solve(sigma, delta)) < 1e-10
+    assert projected_chernoff_quadform(None, delta, sigma) == full
+
+
+def test_quadform_of_a_diagonal_covariance_is_the_sum_of_ratios():
+    delta, diag = np.array([1.0, -2.0, 0.5]), np.array([1.0, 4.0, 2.0])
+    assert projected_chernoff_quadform(None, delta, diag) == np.sum(delta * delta / diag)
+    a = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+    assert projected_chernoff_quadform(a, delta, diag) == projected_chernoff_quadform(
+        a, delta, np.diag(diag))
+    with pytest.raises(SingularProjectedCov, match="nonpositive"):
+        projected_chernoff_quadform(None, delta, np.array([1.0, 0.0, 2.0]))
+    with pytest.raises(ShapeMismatch):
+        projected_chernoff_quadform(None, delta, np.ones(2))
+
+
+def test_a_projection_that_overflows_is_non_finite_data_without_a_warning():
+    # A' Sigma A overflows, then A' delta does
+    with pytest.raises(NonFiniteData, match="covariance"):
+        projected_chernoff_quadform(np.array([[1e10], [0.0]]), np.array([1.0, 0.0]),
+                                    np.diag([1e300, 1.0]))
+    with pytest.raises(NonFiniteData, match="mean difference"):
+        projected_chernoff_quadform(np.array([[1e200], [0.0]]), np.array([1e200, 0.0]),
+                                    np.array([1e-300, 1.0]))
 
 
 def test_pca_blind_spot_exact_case():

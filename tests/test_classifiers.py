@@ -12,7 +12,12 @@ from lolkit.classifiers import (
     predict_lda,
     predict_qda,
 )
-from lolkit.errors import NonFiniteData, ShapeMismatch, UnderdeterminedClassifier
+from lolkit.errors import (
+    NonFiniteData,
+    ShapeMismatch,
+    SingularProjectedCov,
+    UnderdeterminedClassifier,
+)
 from lolkit.linalg import _cholesky, _solve, random_rotation
 from lolkit.model import DataMatrix, GaussianModel
 
@@ -167,11 +172,37 @@ def test_cholesky_and_solve_are_cho_factor_and_cho_solve_bit_for_bit():
         assert np.array_equal(_solve(chol, b[:, 0]), cho_solve(want, b[:, 0]))
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_bayes_error_of_an_overflowing_projected_covariance_is_a_lolkit_error():
     m = _model([1.0, 0.0], np.diag([1e300, 1.0]))
     with pytest.raises(NonFiniteData):
         bayes_error_two_class(m, np.array([[1e10], [0.0]]))
+
+
+def test_bayes_error_ridges_a_singular_covariance_but_not_a_zero_projection():
+    # delta lies in the range of the singular Sigma, so q is 2 / (2 + ridge)
+    m = _model([1.0, 1.0], np.ones((2, 2)))
+    assert bayes_error_two_class(m) == bayes_error_two_class(m, np.eye(2))
+    assert abs(bayes_error_two_class(m) - norm.cdf(-0.5)) < 1e-8
+    with pytest.raises(SingularProjectedCov):
+        bayes_error_two_class(m, np.zeros((2, 1)))
+
+
+# every value below squares to inf, so each covariance overflows
+@pytest.mark.parametrize("fit", [fit_lda, fit_qda])
+def test_a_covariance_that_overflows_is_non_finite_data_without_a_warning(fit):
+    moments = class_moments(DataMatrix([[1e200, -1e200, 2e200, 0.0]]), [0, 0, 1, 1])
+    with pytest.raises(NonFiniteData):
+        fit(moments)
+
+
+@pytest.mark.parametrize("fit, predict", [(fit_lda, predict_lda), (fit_qda, predict_qda)])
+def test_a_point_whose_distance_to_every_class_overflows_is_non_finite_data(fit, predict):
+    # argmax of all -inf scores would give class 0, though the points lie
+    # on class 1's side
+    clf = fit(class_moments(DataMatrix([[1.0, 2.0, 3.0, 5.0]]), [0, 0, 1, 1]))
+    with pytest.raises(NonFiniteData, match="overflows"):
+        predict(clf, DataMatrix([[1e200, -1e200, 1e300]]))
+    assert predict(clf, DataMatrix([[10.0, 0.0]])).tolist() == [1, 0]
 
 
 def test_lda_rotation_invariance():

@@ -12,7 +12,9 @@ from its file as it was saved.  Seeds are drawn around the valid range
 Gaussian pairs whose means and covariances have lengths 1-3 that need not
 agree, labels that are fractional, non-finite or strings, targets that
 are non-finite or of the wrong shape, and tiny arrays of any shape that
-hold NaN, inf or +-1e200, with widths outside the valid range.
+hold NaN, inf or +-1e200, with widths outside the valid range.  The
+Gaussians, and the data and test points that the labels and targets
+go with, take +-1e200 too, whose squares overflow.
 """
 
 import numpy as np
@@ -43,6 +45,8 @@ from lolkit.simulations import FAMILIES, SimSpec, population_model, sample
 
 SEEDS = st.sampled_from([-2, -1, 0, 1, 2, 1.5, np.int64(3), True])
 ENTRIES = st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0])
+# ENTRIES and values whose squares overflow
+WIDE_ENTRIES = st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0, 1e200, -1e200])
 LABELS = st.sampled_from([0, 1, 2, 1.0, 0.5, -1, 3, np.nan, np.inf, "a"])
 TARGETS = st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0, 1e300, -1e300, np.nan, np.inf, -np.inf])
 EXTREMES = st.sampled_from([-1.0, 0.0, 1.0, 1e200, -1e200, np.nan, np.inf])
@@ -65,23 +69,23 @@ def specs(families=FAMILIES, n=st.integers(1, 6)):
     return st.builds(SimSpec, st.sampled_from(families), st.integers(1, 4), n, SEEDS)
 
 
-def vectors(length):
-    return st.lists(ENTRIES, min_size=length, max_size=length).map(np.array)
+def vectors(length, entries=ENTRIES):
+    return st.lists(entries, min_size=length, max_size=length).map(np.array)
 
 
 @st.composite
-def matrices(draw, rows, cols):
+def matrices(draw, rows, cols, entries=ENTRIES):
     """A rows x cols matrix: the identity's leading block, or arbitrary entries."""
     if draw(st.booleans()):
         return np.eye(rows, cols) * draw(st.sampled_from([0.5, 1.0, 3.0]))
-    return draw(vectors(rows * cols)).reshape(rows, cols)
+    return draw(vectors(rows * cols, entries)).reshape(rows, cols)
 
 
 @st.composite
 def gaussians(draw):
     """(mean, covariance) of lengths 1-3 each, not always equal."""
-    return draw(vectors(draw(st.integers(1, 3)))), draw(
-        st.integers(1, 3).flatmap(lambda k: matrices(k, k)))
+    return draw(vectors(draw(st.integers(1, 3)), WIDE_ENTRIES)), draw(
+        st.integers(1, 3).flatmap(lambda k: matrices(k, k, WIDE_ENTRIES)))
 
 
 def _returns_or_raises_lolkit_error(fn, *args, **kwargs):
@@ -172,13 +176,17 @@ def test_labels_and_targets_return_or_raise_a_lolkit_error(data):
     draw = data.draw
     p = draw(st.integers(1, 4), label="p")
     n = draw(st.integers(1, 10), label="n")
-    x = DataMatrix(draw(matrices(p, n), label="x"))
+    x = DataMatrix(draw(matrices(p, n, WIDE_ENTRIES), label="x"))
     labels = draw(label_vectors(n), label="labels")
     num_classes = draw(st.sampled_from([None, 0, 2, 3]), label="num_classes")
     moments = _returns_or_raises_lolkit_error(class_moments, x, labels, num_classes)
     if moments is not None:
-        _returns_or_raises_lolkit_error(fit_lda, moments)
-        _returns_or_raises_lolkit_error(fit_qda, moments)
+        test_x = DataMatrix(draw(st.integers(1, 3).flatmap(
+            lambda m: matrices(p, m, WIDE_ENTRIES)), label="test x"))
+        for fit, predict in ((fit_lda, predict_lda), (fit_qda, predict_qda)):
+            clf = _returns_or_raises_lolkit_error(fit, moments)
+            if clf is not None:
+                _returns_or_raises_lolkit_error(predict, clf, test_x)
     y = draw(targets(n), label="target")
     _returns_or_raises_lolkit_error(quantile_partition, y, draw(st.integers(-1, n + 1), label="K"))
     d = draw(st.integers(-1, p + 1), label="d")
