@@ -3,10 +3,10 @@ and comparison metrics.
 
 The protocol: stratified k-fold assignment, per-fold training subsample
 of size min(floor(n (k-1) / k), p - 1), projections fitted once per fold
-at the maximum dimension, both folds embedded once at that width and
-each r given the leading r rows, a classifier per r, evaluation on the
-held-out fold.  Errors during a single (algorithm, fold, r) cell are
-recorded as missing instead of aborting the sweep.
+at the maximum dimension, one classifier fitted at that width whose
+leading blocks give every r >= 2 (r = 1 has a fit of its own), evaluation
+on the held-out fold.  A failed fit leaves the cells it would have filled
+missing instead of aborting the sweep.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import numpy as np
 
 from . import embeddings as emb
 from .classifiers import (
+    _predict_by_width,
     class_moments,
     fit_lda,
     fit_qda,
@@ -490,22 +491,23 @@ def sweep(plan: FoldPlan, algorithms, d_max, classifier="lda"):
     ``algorithms`` are distinct tags from ALGORITHMS and ``classifier`` is
     "lda" or "qda"; anything else raises ShapeMismatch before any fit.
 
-    Each (fold, algorithm) fit embeds the training and the test fold once
-    at its full width, and the cell for r takes the leading r rows of both
-    embeddings.  Exact-SVD fits nest, so those rows are the r-dim
-    embeddings; a randomized-SVD fit (what "auto" picks when min(p,
-    n_train) > 2000) does not, and its cell for r scores the leading r
-    columns of the d_max fit.  The training embedding's class moments
-    are computed once, and the cell for r fits its classifier from their
-    leading r rows.  A failed full-width embedding marks the fold's cells
-    missing, as a failed fit does.  The r = 1 cell alone embeds through
-    ``prefix(1)`` and computes its own moments: numpy computes a one-row
+    For each fold and algorithm, one classifier fitted at width w =
+    min(proj.d, n_train) gives every r = 2..w: both folds are embedded
+    once through ``prefix(w)``, and the rule at r, read off that fit (see
+    classifiers), uses the leading r x r block of the width-w covariance,
+    ridge included.  Exact-SVD fits nest, so the leading r rows of the
+    embedding are the r-dim embedding; a randomized-SVD fit (what "auto"
+    picks when min(p, n_train) > 2000) does not, and its curve at r scores
+    the leading r columns of the d_max fit.  The r = 1 cell has a fit of
+    its own, on its own ``prefix(1)`` embedding: numpy computes a one-row
     product by a matrix-vector path whose last bits differ from row 0 of
     the full product, and the 1-dim cca embedding, with almost no
     within-class variance when n <= p, changes its predictions on those
-    bits.
+    bits.  Cells above n_train stay missing.  A failed fit leaves the cells
+    it serves missing, and a test point that no class scores finitely from
+    width r on leaves r and every wider cell missing.
 
-    Each fold's projection fits and per-r cells (embed, classifier fit,
+    Each fold's projection fits and cells (embed, classifier fit,
     predict) run with BLAS at one thread: their SVDs and d x d solves are
     far slower when two thread pools contend for the cores.  The cca fit
     alone runs at the process default, because its result depends on the
@@ -541,22 +543,17 @@ def sweep(plan: FoldPlan, algorithms, d_max, classifier="lda"):
                 except _CELL_ERRORS:
                     continue
             with _one_blas_thread(blas):
-                try:
-                    moments = class_moments(emb.embed(proj, train_ds.data), train_ds.labels, c)
-                    z_test = emb.embed(proj, test)
-                except _CELL_ERRORS:
-                    continue
-                for r in range(1, proj.d + 1):
+                for width in sorted({1, min(proj.d, train_ds.n)}):
                     try:
-                        if r == 1:
-                            pre = proj.prefix(1)
-                            e_train, e_test = emb.embed(pre, train_ds.data), emb.embed(pre, test)
-                            m_train = class_moments(e_train, train_ds.labels, c)
+                        pre = proj.prefix(width)
+                        clf = fit_cls(class_moments(emb.embed(pre, train_ds.data),
+                                                    train_ds.labels, c))
+                        z_test = emb.embed(pre, test)
+                        if width == 1:
+                            tag_rates[j, 0] = misclassification_rate(predict(clf, z_test), y[te])
                         else:
-                            m_train, e_test = moments.prefix(r), z_test.leading_rows(r)
-                        clf = fit_cls(m_train)
-                        pred = predict(clf, e_test)
-                        tag_rates[j, r - 1] = misclassification_rate(pred, y[te])
+                            pred = _predict_by_width(clf, z_test)
+                            tag_rates[j, 1:len(pred)] = np.mean(pred[1:] != y[te], axis=1)
                     except _CELL_ERRORS:
                         continue
     return [ErrorCurve(algorithm=tag, rates=tag_rates)

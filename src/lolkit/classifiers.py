@@ -6,6 +6,14 @@ to the lowest class index.  Fitted covariances are MLE (divide by n) with a
 relative ridge of 1e-8 * trace / d on the diagonal, which guards
 degenerate folds without perturbing well-conditioned problems beyond
 ~1e-6.
+
+One fit at width d also gives the rule of every leading width r <= d.  A
+lower Cholesky factor nests: the factor of a covariance's leading r x r
+block is the leading r x r block of its factor (Golub & Van Loan, Matrix
+Computations, 4.2).  So with z = L^-1 (x - mu_j), the distance at width r
+is the sum of the first r entries of z^2, and QDA's log-determinant at r
+is the sum of the first r entries of 2 log diag L.  The leading block
+carries the width-d ridge, not a ridge of its own.
 """
 
 from __future__ import annotations
@@ -13,10 +21,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dtrtrs
 
 from .chernoff import projected_chernoff_quadform
 from .errors import NonFiniteData, ShapeMismatch, UnderdeterminedClassifier
-from .linalg import _cholesky, _solve
+from .linalg import _cholesky
 from .model import DataMatrix, GaussianModel, gaussian_noise, label_counts
 
 RIDGE_REL = 1e-8
@@ -42,7 +51,7 @@ class GaussianClassifier:
     means: np.ndarray        # (d, C)
     covariances: tuple       # one (d, d) per class, ridge-stabilized
     _chols: tuple
-    _logdets: np.ndarray
+    _logdets: np.ndarray     # (C, d), log det of each leading r x r block
 
 
 @dataclass(frozen=True)
@@ -54,16 +63,6 @@ class ClassMoments:
     means: np.ndarray        # (d, C)
     centered: np.ndarray     # (d, n), x - means[:, labels]
     blocks: tuple            # centered[:, labels == j] for each class j
-
-    def prefix(self, r) -> "ClassMoments":
-        """The moments of the leading r rows, as views.  Means and centering
-        act on each row alone, so for r >= 2 they are bit for bit those of
-        x[:r]; numpy reduces a one-row matrix by another path, and the
-        means of x[:1] can differ in the last bits."""
-        if not 1 <= r <= self.means.shape[0]:
-            raise ShapeMismatch(f"prefix r={r} outside 1..{self.means.shape[0]}")
-        return ClassMoments(self.counts, self.priors, self.means[:r], self.centered[:r],
-                            tuple(b[:r] for b in self.blocks))
 
 
 def class_moments(embedded: DataMatrix, labels, num_classes=None) -> ClassMoments:
@@ -87,26 +86,35 @@ def _check_determined(moments: ClassMoments):
         raise UnderdeterminedClassifier(f"d={d} exceeds n={n}")
 
 
-def _predict(clf: GaussianClassifier, embedded: DataMatrix):
+def _predict_by_width(clf: GaussianClassifier, embedded: DataMatrix):
+    """(d', n) predicted classes, row r - 1 that of the leading r
+    coordinates (see the module docstring).  The rows stop before the first
+    width at which some point scores no class finitely: a distance only
+    grows with r, so the point scores none at any wider width either."""
     x = embedded.values
     d = clf.means.shape[0]
     if x.shape[0] != d:
         raise ShapeMismatch(f"classifier expects d={d}, got {x.shape[0]}")
-    scores = np.empty((clf.priors.shape[0], x.shape[1]))
+    scores = np.empty((clf.priors.shape[0], d, x.shape[1]))
     with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(clf.priors.shape[0]):
-            diff = x - clf.means[:, j : j + 1]
-            maha = np.einsum("ij,ij->j", diff, _solve(clf._chols[j], diff))
-            scores[j] = -0.5 * (maha + clf._logdets[j]) + np.log(clf.priors[j])
+        for j, chol in enumerate(clf._chols):
+            z = dtrtrs(chol, x - clf.means[:, j : j + 1], lower=1)[0]
+            maha = np.cumsum(z * z, axis=0)
+            scores[j] = -0.5 * (maha + clf._logdets[j][:, None]) + np.log(clf.priors[j])
     # argmax would give class 0 to a point every class scores -inf or NaN
-    if not np.isfinite(scores).any(axis=0).all():
+    scored = np.isfinite(scores).any(axis=0).all(axis=1)
+    width = d if scored.all() else int(np.argmin(scored))
+    return np.argmax(scores[:, :width], axis=0)
+
+
+def _predict(clf: GaussianClassifier, embedded: DataMatrix):
+    rows = _predict_by_width(clf, embedded)
+    if rows.shape[0] < clf.means.shape[0]:
         raise NonFiniteData("a test point's distance to every class overflows")
-    return np.argmax(scores, axis=0)
+    return rows[-1]
 
 
 # LDA and QDA keep their own entry points: profilers tell them apart by function.
-# Each fit takes one r x r product of its own rows, never a block of a wider
-# scatter: that block can differ from the product in the last bits.
 
 def fit_lda(moments: ClassMoments) -> GaussianClassifier:
     """LDA: one pooled within-class covariance."""
@@ -116,9 +124,9 @@ def fit_lda(moments: ClassMoments) -> GaussianClassifier:
     with np.errstate(over="ignore", invalid="ignore"):
         cov = _ridge(centered @ centered.T / centered.shape[1])
     chol = _cholesky(cov)
-    c = moments.means.shape[1]
+    d, c = moments.means.shape
     return GaussianClassifier(moments.priors, moments.means, (cov,) * c, (chol,) * c,
-                              np.zeros(c))
+                              np.zeros((c, d)))
 
 
 def predict_lda(clf: GaussianClassifier, embedded: DataMatrix):
@@ -131,7 +139,7 @@ def fit_qda(moments: ClassMoments) -> GaussianClassifier:
     with np.errstate(over="ignore", invalid="ignore"):
         covs = tuple(_ridge(xc @ xc.T / k) for xc, k in zip(moments.blocks, moments.counts))
     chols = tuple(map(_cholesky, covs))
-    logdets = np.array([2.0 * np.sum(np.log(np.diag(chol))) for chol in chols])
+    logdets = np.array([np.cumsum(2.0 * np.log(np.diag(chol))) for chol in chols])
     return GaussianClassifier(moments.priors, moments.means, covs, chols, logdets)
 
 

@@ -45,15 +45,6 @@ class DataMatrix:
     def n(self):
         return self.values.shape[1]
 
-    def leading_rows(self, r) -> "DataMatrix":
-        """The first r rows, as a view.  Rows of a checked matrix are
-        finite, so they are not scanned again."""
-        if not 1 <= r <= self.p:
-            raise ShapeMismatch(f"leading r={r} rows outside 1..{self.p}")
-        rows = object.__new__(DataMatrix)
-        object.__setattr__(rows, "values", self.values[:r])
-        return rows
-
 
 def label_counts(labels, n, num_classes=None):
     """(labels as int64, samples per class) of n class labels in 0..C-1,

@@ -375,18 +375,22 @@ def test_sweep_records_linalg_failures_as_missing_cells(monkeypatch):
     baseline = sweep(plan, ["lol", "pca"], 5)
     real_fit_lda = benchmark.fit_lda
 
-    def fit_lda_failing_at_r3(moments):
-        if moments.means.shape[0] == 3:
-            raise np.linalg.LinAlgError("leading minor not positive definite")
-        return real_fit_lda(moments)
+    def fit_lda_failing_at(width):
+        def fit(moments):
+            if moments.means.shape[0] == width:
+                raise np.linalg.LinAlgError("leading minor not positive definite")
+            return real_fit_lda(moments)
+        return fit
 
-    monkeypatch.setattr(benchmark, "fit_lda", fit_lda_failing_at_r3)
-    curves = sweep(plan, ["lol", "pca"], 5)
-    for got, want in zip(curves, baseline):
-        assert np.all(np.isnan(got.rates[:, 2]))
-        keep = [0, 1, 3, 4]
-        assert np.array_equal(got.rates[:, keep], want.rates[:, keep])
-        assert np.all(np.isfinite(want.rates))
+    # the full-width fit serves every r >= 2 cell, and r = 1 has its own
+    for width, lost, kept in ((5, slice(1, None), [0]), (1, [0], slice(1, None))):
+        monkeypatch.setattr(benchmark, "fit_lda", fit_lda_failing_at(width))
+        curves = sweep(plan, ["lol", "pca"], 5)
+        for got, want in zip(curves, baseline):
+            assert np.all(np.isnan(got.rates[:, lost])), width
+            assert np.array_equal(got.rates[:, kept], want.rates[:, kept]), width
+            assert np.all(np.isfinite(want.rates))
+    monkeypatch.setattr(benchmark, "fit_lda", real_fit_lda)
 
     def failing_fit(*args, **kwargs):
         raise np.linalg.LinAlgError("SVD did not converge")
@@ -395,6 +399,17 @@ def test_sweep_records_linalg_failures_as_missing_cells(monkeypatch):
     lol, pca = sweep(plan, ["lol", "pca"], 5)
     assert np.all(np.isnan(pca.rates))
     assert np.isfinite(lol.rates[:, 0]).all()
+
+
+def test_sweep_leaves_the_cells_above_n_train_missing():
+    # n_train = min(floor(30 * 2 / 3), 59) = 20 < d_max = 40
+    ds = trunk_dataset(p=60, n=30, seed=0)
+    plan = make_fold_plan(ds, 3, seed=0)
+    n_train = len(plan.train_subsets[0])
+    assert n_train == 20
+    for curve in sweep(plan, ["rp", "lfl"], 40):
+        assert np.isfinite(curve.rates[:, :n_train]).all(), curve.algorithm
+        assert np.isnan(curve.rates[:, n_train:]).all(), curve.algorithm
 
 
 # values near 1e160 square to inf
@@ -522,7 +537,8 @@ def test_sweep_runs_cells_at_one_thread_and_restores(monkeypatch, blas_at_two_th
     seen = _threads_seen_by_cells(monkeypatch, controls)
     sweep(plan, ["lol", "pca"], 4)
     assert set(seen) == {(1,) * len(controls)}
-    assert len(seen) == 2 * plan.k * 4
+    # per fold and algorithm: the r = 1 fit and the one fit every r >= 2 reads
+    assert len(seen) == 2 * plan.k * 2
     assert _threads(controls) == [2] * len(controls)
 
 

@@ -1,18 +1,14 @@
-"""Fits from prefixed class moments are the fits of the prefix, bit for bit.
+"""Every leading width of one classifier fit, and the class-moment label contract.
 
-``benchmark.sweep`` fits the classifier of every cell from
-``class_moments(z).prefix(r)``: the leading r rows of moments computed once
-at full width.  These tests hold such a fit to the bits of a fit on a
-fresh contiguous copy of ``z[:r]``, the per-r fit the sweep replaced:
-means, covariances, Cholesky factors and predictions, at one BLAS thread
-and at the process default, for every r >= 2.  A fit that took the leading
-r x r block of one full-width scatter would fail them, because that block
-differs from the r-row product in its last bits.
-
-r = 1 is left out: numpy reduces a one-row matrix by another path, so the
-class means of ``z[:1]`` can differ in the last bits from row 0 of the
-full-width means, and the sweep builds the r = 1 cell's moments from its
-own one-row embedding.
+``benchmark.sweep`` fits one LDA or QDA rule per fold and algorithm, at
+the full embedding width, and reads the prediction for every r off it
+through ``classifiers._predict_by_width``.  A lower Cholesky factor nests,
+so the rule at r is the one the leading r x r block of the covariance
+gives.  These tests hold each row to the predictions of a fresh fit on
+``z[:r]``, whose ridge is its own and not the full width's, on shapes
+where every class has more training rows than the width, at one BLAS
+thread and at the process default.  They also pin where the rows stop
+when a test point overflows, and when ``predict_*`` refuses a point.
 """
 
 import contextlib
@@ -21,27 +17,27 @@ import numpy as np
 import pytest
 
 from lolkit import benchmark
-from lolkit.classifiers import class_moments, fit_lda, fit_qda, predict_lda, predict_qda
-from lolkit.errors import EmptyClass, LolkitError, ShapeMismatch, UnderdeterminedClassifier
+from lolkit.classifiers import (
+    _predict_by_width,
+    class_moments,
+    fit_lda,
+    fit_qda,
+    predict_lda,
+    predict_qda,
+)
+from lolkit.errors import EmptyClass, NonFiniteData, ShapeMismatch
 from lolkit.model import DataMatrix
 
 FITS = {"lda": (fit_lda, predict_lda), "qda": (fit_qda, predict_qda)}
 
-# (width, n_train, n_test); the last has fewer training rows than width
-SHAPES = [(30, 160, 40), (30, 180, 45), (24, 60, 20), (30, 37, 12), (20, 9, 7)]
+# (width, n_train, n_test), each class with more than width training rows
+SHAPES = [(30, 160, 40), (30, 180, 45), (12, 60, 20), (8, 37, 12)]
 
 
 def _blas(one_thread):
     if one_thread:
         return benchmark._one_blas_thread(benchmark._openblas_thread_controls())
     return contextlib.nullcontext()
-
-
-def _fit_or_error(fit, moments):
-    try:
-        return fit(moments)
-    except (LolkitError, np.linalg.LinAlgError) as exc:
-        return type(exc)
 
 
 def _embedding(rng, width, labels, c):
@@ -60,40 +56,60 @@ def test_prefix_fits_equal_fits_on_a_fresh_copy(kind, c, one_thread):
     for width, n_train, n_test in SHAPES:
         labels = np.arange(n_train) % c
         z = _embedding(rng, width, labels, c)
-        test = DataMatrix(_embedding(rng, width, np.arange(n_test) % c, c))
+        test = _embedding(rng, width, np.arange(n_test) % c, c)
         with _blas(one_thread):
-            moments = class_moments(DataMatrix(z), labels, c)
-            for r in range(2, width + 1):
-                got = _fit_or_error(fit, moments.prefix(r))
-                want = _fit_or_error(fit, class_moments(DataMatrix(z[:r].copy()), labels, c))
-                where = (width, n_train, r)
-                if r > n_train:
-                    assert got is want is UnderdeterminedClassifier, where
-                    continue
-                assert not isinstance(want, type), (where, want)
-                assert np.array_equal(got.priors, want.priors), where
-                assert np.array_equal(got.means, want.means), where
-                for name in ("covariances", "_chols"):
-                    for a, b in zip(getattr(got, name), getattr(want, name), strict=True):
-                        assert np.array_equal(a, b), (where, name)
-                assert np.array_equal(got._logdets, want._logdets), where
-                assert np.array_equal(predict(got, test.leading_rows(r)),
-                                      predict(want, DataMatrix(test.values[:r].copy()))), where
+            clf = fit(class_moments(DataMatrix(z), labels, c))
+            rows = _predict_by_width(clf, DataMatrix(test))
+            assert rows.shape == (width, n_test)
+            assert np.array_equal(predict(clf, DataMatrix(test)), rows[-1])
+            for r in range(1, width + 1):
+                fresh = fit(class_moments(DataMatrix(z[:r].copy()), labels, c))
+                want = predict(fresh, DataMatrix(test[:r].copy()))
+                assert np.array_equal(rows[r - 1], want), (width, n_train, r)
+                for j, cov in enumerate(clf.covariances):
+                    logdet = 2.0 * np.sum(np.log(np.diag(np.linalg.cholesky(cov[:r, :r]))))
+                    got = clf._logdets[j, r - 1]
+                    if kind == "lda":
+                        assert got == 0.0
+                    else:
+                        assert abs(got - logdet) <= 1e-12 * abs(logdet), (width, r, j)
 
 
-def test_prefix_and_leading_rows_are_views_within_range():
-    z = DataMatrix(np.arange(12.0).reshape(3, 4))
-    moments = class_moments(z, np.array([0, 1, 0, 1]), 2)
-    pre = moments.prefix(2)
-    assert np.shares_memory(pre.centered, moments.centered)
-    assert [b.shape for b in pre.blocks] == [(2, 2), (2, 2)]
-    rows = z.leading_rows(2)
-    assert np.shares_memory(rows.values, z.values) and rows.p == 2
-    for bad in (0, 4):
-        with pytest.raises(ShapeMismatch):
-            moments.prefix(bad)
-        with pytest.raises(ShapeMismatch):
-            z.leading_rows(bad)
+def _two_class_rule(fit):
+    # class 0 near the origin, class 1 near (4, 4, 4), unit-ish spread
+    rng = np.random.default_rng(7)
+    labels = np.arange(40) % 2
+    x = rng.standard_normal((3, 40)) + 4.0 * labels
+    return fit(class_moments(DataMatrix(x), labels, 2))
+
+
+@pytest.mark.parametrize("kind", ["lda", "qda"])
+def test_rows_stop_at_the_first_width_where_a_point_overflows_for_every_class(kind):
+    fit, predict = FITS[kind]
+    clf = _two_class_rule(fit)
+    finite = np.array([[0.0, 4.0], [0.0, 4.0], [0.0, 4.0]])
+    assert _predict_by_width(clf, DataMatrix(finite)).tolist() == [[0, 1]] * 3
+    # 1e200 squares to inf at every class's distance, from its row on
+    for row in range(3):
+        x = finite.copy()
+        x[row, 1] = 1e200
+        rows = _predict_by_width(clf, DataMatrix(x))
+        assert rows.tolist() == [[0, 1]] * row, row
+        with pytest.raises(NonFiniteData, match="overflows"):
+            predict(clf, DataMatrix(x))
+
+
+def test_predict_gives_a_point_some_class_scores_to_that_class():
+    # class 0 has a spread of about 1e-100, so 1e60 lies about 1e160 of its
+    # deviations away and its squared distance overflows; class 1 scores
+    # the point finitely
+    labels = np.array([0, 0, 0, 1, 1, 1])
+    x = np.array([[0.0, 1e-100, -1e-100, 1.0, 2.0, 3.0]])
+    clf = fit_qda(class_moments(DataMatrix(x), labels, 2))
+    test = DataMatrix([[1e60, 2.0]])
+    assert _predict_by_width(clf, test).tolist() == [[1, 1]]
+    # no NonFiniteData: only a point that no class scores is refused
+    assert predict_qda(clf, test).tolist() == [1, 1]
 
 
 @pytest.mark.parametrize("labels, num_classes, error", [

@@ -1,12 +1,15 @@
-"""Differential test of sweep's cell loop against the per-r loop it replaced.
+"""Differential test of sweep against the per-r loop it replaced.
 
 ``reference_sweep`` is the earlier implementation, kept verbatim: for
 every r it embeds the training and the test fold again through
-``proj.prefix(r)``.  The current sweep embeds both folds once at the
-fitted width and gives the cell for r the leading r rows (r = 1 alone
-still embeds through ``prefix(1)``).  The error curves of every algorithm,
-with LDA and with QDA, on small trunk and trunk3 data must be equal, and
-each row block must agree with the per-r product to 1e-12.
+``proj.prefix(r)`` and fits a classifier of its own.  The current sweep
+fits one classifier per fold and algorithm, at width w = min(proj.d,
+n_train) on the ``prefix(w)`` embeddings, and reads every r >= 2 off the
+leading blocks of that fit; r = 1 alone keeps a fit of its own on its
+``prefix(1)`` embeddings.  The error curves of every algorithm, with LDA
+and with QDA, on small trunk and trunk3 data must be equal, and the
+leading r rows of each full-width embedding must agree with the per-r
+product to 1e-12.
 """
 
 import numpy as np
