@@ -14,6 +14,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import ctypes
+import functools
 import math
 import os
 import warnings
@@ -444,10 +445,15 @@ _OPENBLAS_THREAD_SYMBOLS = (
 )
 
 
+@functools.cache
 def _openblas_thread_controls():
     """[(get, set)] thread-count functions of each OpenBLAS copy loaded in
     this process.  numpy and scipy each ship their own copy with its own
-    thread pool.  Empty where none is found, for example off Linux."""
+    thread pool.  Empty where none is found, for example off Linux.
+
+    Both copies are loaded once lolkit is imported (it imports numpy and
+    scipy.linalg), so the lookup runs once per process and later calls
+    return the same list; callers must not change it."""
     try:
         with open("/proc/self/maps") as fh:
             fields = (line.split(maxsplit=5) for line in fh)
@@ -603,13 +609,13 @@ def normalized_report(curves, plan: FoldPlan):
         r_star = select_rstar(curve)
         fold_rates = curve.rates[:, r_star - 1]
         diffs = (lol_fold - fold_rates) / chance
-        good = np.isfinite(diffs)
+        good = diffs[np.isfinite(diffs)]
         entry = {
             "r_star": r_star,
             "mean_error_at_r_star": float(np.nanmean(fold_rates)),
             "norm_embedding_dim": (r_lol - r_star) / p,
-            "norm_error_mean": float(np.mean(diffs[good])) if np.any(good) else None,
-            "norm_error_median": float(np.median(diffs[good])) if np.any(good) else None,
+            "norm_error_mean": float(np.mean(good)) if good.size else None,
+            "norm_error_median": float(emb._row_medians(good[None])[0]) if good.size else None,
             "folds_ok_at_r_star": int(np.sum(np.isfinite(fold_rates))),
         }
         if entry["folds_ok_at_r_star"] < plan.k / 2:

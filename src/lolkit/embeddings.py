@@ -144,6 +144,27 @@ def fit_qoq(dataset: LabeledDataset, d, svd_mode="auto", seed=0) -> Projection:
     return _assemble(delta, eig, "qoq", seed)
 
 
+def _row_medians(a):
+    """The median of each row of the 2-D float array ``a`` (width >= 1):
+    ``np.median(a, axis=1)`` bit for bit, from one sort of each row.
+
+    np.median partitions each row around its middle entries, sums them
+    from +0.0 and divides by their count; one sort finds the same entries
+    faster.  Adding 0.0 repeats that sum's start, so a -0.0 middle comes
+    out as +0.0 there too.  A NaN sorts last, and a row that holds one
+    gives that NaN, as np.median does.
+    """
+    s = np.sort(a, axis=1)
+    k = s.shape[1] // 2
+    if s.shape[1] % 2:
+        med = s[:, k] + 0.0
+    else:
+        med = (s[:, k - 1] + s[:, k] + 0.0) / 2.0
+    last = s[:, -1]
+    np.copyto(med, last, where=np.isnan(last))
+    return med
+
+
 def fit_rlol(dataset: LabeledDataset, d, svd_mode="auto", seed=0) -> Projection:
     """Robust LOL: class medians as locations, MAD-winsorized centered
     data for the eigenvector block."""
@@ -153,7 +174,7 @@ def fit_rlol(dataset: LabeledDataset, d, svd_mode="auto", seed=0) -> Projection:
     y = dataset.labels
     medians = np.empty((dataset.p, c))
     for j in range(c):
-        medians[:, j] = np.median(x[:, y == j], axis=1)
+        medians[:, j] = _row_medians(x[:, y == j])
     priors = np.bincount(y, minlength=c) / dataset.n
     delta = _delta_block(medians, priors)
     eig = None
@@ -161,8 +182,8 @@ def fit_rlol(dataset: LabeledDataset, d, svd_mode="auto", seed=0) -> Projection:
         # clip each coordinate at +-3 robust standard deviations; coordinates
         # with zero MAD are left untouched
         z = x - medians[:, y]
-        med = np.median(z, axis=1, keepdims=True)
-        sigma = 1.4826 * np.median(np.abs(z - med), axis=1, keepdims=True)
+        med = _row_medians(z)[:, None]
+        sigma = 1.4826 * _row_medians(np.abs(z - med))[:, None]
         clipped = np.clip(z, -3.0 * sigma, 3.0 * sigma)
         keep = sigma[:, 0] == 0
         clipped[keep] = z[keep]
@@ -210,7 +231,9 @@ def fit_lrcca(dataset: LabeledDataset, d) -> Projection:
 
 def _pls_weights(x, targets, d):
     """d PLS weight vectors (p x d) of the centered p x n data ``x``
-    against the centered m x n ``targets``; ``x`` is deflated in place.
+    against the centered m x n ``targets``; ``x`` is deflated in place,
+    each rank-one update formed in one p x n buffer reused across
+    components.
 
     Each weight is the top left singular vector of the cross-product
     X_a Y^T of the deflated data and the targets, the fixed point that a
@@ -220,6 +243,7 @@ def _pls_weights(x, targets, d):
     they are.  A zero cross-product or score raises DegenerateTarget.
     """
     weights = np.empty((x.shape[0], d))
+    rank_one = np.empty_like(x)
     for comp in range(d):
         with np.errstate(over="ignore", invalid="ignore"):
             cross = x @ targets.T
@@ -235,7 +259,7 @@ def _pls_weights(x, targets, d):
                 raise DegenerateTarget(f"zero score vector at component {comp}")
             if not np.isfinite(tt):
                 raise NonFiniteData(f"the score vector overflows at component {comp}")
-            x -= np.outer(x @ t / tt, t)
+            x -= np.multiply.outer(x @ t / tt, t, out=rank_one)
         weights[:, comp] = w
     return weights
 

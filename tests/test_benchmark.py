@@ -542,6 +542,22 @@ def test_sweep_runs_cells_at_one_thread_and_restores(monkeypatch, blas_at_two_th
     assert _threads(controls) == [2] * len(controls)
 
 
+def test_sweep_reuses_the_thread_controls_found_once(monkeypatch, blas_at_two_threads):
+    controls = blas_at_two_threads
+    assert benchmark._openblas_thread_controls() is controls
+
+    def no_second_lookup(*args, **kwargs):
+        raise AssertionError("OpenBLAS looked up again")
+
+    monkeypatch.setattr(benchmark.ctypes, "CDLL", no_second_lookup)
+    ds = trunk_dataset(p=15, n=80, seed=3)
+    plan = make_fold_plan(ds, 3, seed=3)
+    seen = _threads_seen_by_cells(monkeypatch, controls)
+    sweep(plan, ["lol"], 4)
+    assert set(seen) == {(1,) * len(controls)}
+    assert _threads(controls) == [2] * len(controls)
+
+
 def test_sweep_fits_every_projection_but_cca_at_one_thread(monkeypatch, blas_at_two_threads):
     controls = blas_at_two_threads
     ds = sample(SimSpec("trunk3", 40, 120, seed=8)).dataset
