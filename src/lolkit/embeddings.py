@@ -8,6 +8,12 @@ equal the d'-dim fit on the same data and seed.  For the eigenvector
 blocks this holds only with an exact SVD (``svd_mode="exact"``, or
 ``"auto"`` with min(p, n) <= EXACT_SVD_MAX_DIM): the randomized range
 finder sketches k + oversample columns, so its top directions depend on k.
+On a tall matrix (p >= n) the exact SVD of PCA, RLOL and each QOQ class
+block comes from the Gram matrix at every width k < n up to the resolved
+width w, and fits nest at all of those widths; wider ones take LAPACK's
+SVD, differ from them by up to about GRAM_RTOL / n per entry, and nest
+among themselves (``linalg.truncated_svd``).  LOL and RR-LDA read the
+dataset's shared all-triplets SVD, which is LAPACK's on every shape.
 
 The mean-difference and eigenvector blocks are concatenated as they are,
 so their columns need not be mutually orthogonal.
@@ -100,10 +106,11 @@ def fit_lol(dataset: LabeledDataset, d, svd_mode="auto", seed=0) -> Projection:
 
 def _class_centered_directions(dataset, k, svd_mode, seed, stats=None):
     # top-k left singular vectors of the class-centered data.  An exact
-    # SVD computes all min(p, n) of them and _fix_signs acts column by
-    # column, so the first k columns of the dataset's shared SVD are the
-    # same bytes as a rank-k exact fit.  ``stats`` spares a randomized fit
-    # a second class_stats pass.
+    # fit takes the first k columns of the dataset's shared all-triplets
+    # SVD (LAPACK's, also on a tall matrix, where a rank-k truncated_svd
+    # would take the Gram path); _fix_signs acts column by column, so they
+    # nest at every k.  ``stats`` spares a randomized fit a second
+    # class_stats pass.
     if resolve_svd_mode(k, dataset.p, dataset.n, svd_mode) == "exact":
         return dataset.class_centered_svd.U[:, :k]
     if stats is None:
@@ -136,9 +143,11 @@ def fit_qoq(dataset: LabeledDataset, d, svd_mode="auto", seed=0) -> Projection:
         for j in range(dataset.num_classes):
             xc = dataset.data.values[:, dataset.labels == j]
             xc = xc - xc.mean(axis=1, keepdims=True)
-            svds.append(truncated_svd(xc, min(xc.shape), mode=svd_mode, seed=seed))
+            svds.append(truncated_svd(xc, min(k, *xc.shape), mode=svd_mode, seed=seed))
         # decreasing singular value; the stable sort breaks ties by
-        # (class, index), the order the blocks are stacked in
+        # (class, index), the order the blocks are stacked in.  The merge
+        # takes at most k columns from one class, so each class's top k
+        # triplets make the same choices as all of them
         order = np.argsort(-np.concatenate([r.S for r in svds]), kind="stable")
         eig = np.hstack([r.U for r in svds])[:, order[:k]]
     return _assemble(delta, eig, "qoq", seed)

@@ -1,9 +1,10 @@
 """Shared numerical primitives.
 
-Seeds, truncated SVD (exact and Halko-style randomized), very sparse random
-projection columns, Haar-uniform rotations, the implicit-operator
-eigensolver used by low-rank CCA, and the Cholesky and solve that the
-classifiers and the Chernoff quadratic form share.
+Seeds, truncated SVD (exact, from LAPACK or from the Gram matrix of a tall
+matrix, and Halko-style randomized), very sparse random projection columns,
+Haar-uniform rotations, the implicit-operator eigensolver used by low-rank
+CCA, and the Cholesky and solve that the classifiers and the Chernoff
+quadratic form share.
 """
 
 from __future__ import annotations
@@ -26,6 +27,23 @@ EXACT_SVD_MAX_DIM = 2000
 
 # Relative singular-value cutoff for pseudo-inverses.
 PINV_RTOL = 1e-10
+
+# An exact truncated SVD of a p x n matrix with p >= n comes from eigh of
+# its n x n Gram matrix (Sirovich's method of snapshots; Hastie, Tibshirani
+# & Friedman, ESL 18.3.5), the smaller of the two Gram matrices.  It is
+# faster than LAPACK from p = n on once n >= 20, and a fixed few us slower
+# at n = 8 (BENCH_cv_lda.json, "gram_trigger").
+#
+# eigh gives Gram eigenvalue j a relative error of about
+# n * eps * lam_1 / lam_j.  The Gram path keeps the leading eigenvalues
+# whose bound is at most GRAM_RTOL, that is s_j >= s_1 * sqrt(n * eps /
+# GRAM_RTOL): 1.9e-4 * s_1 at n = 160.  Their U columns are orthonormal
+# to within GRAM_RTOL / n (tests/test_linalg.py).
+GRAM_RTOL = 1e-6
+
+# A Gram matrix whose largest diagonal entry lies below this rounds at
+# subnormal magnitudes (eps * lam_1 < tiny), so it is not used.
+_GRAM_MIN_SCALE = np.finfo(np.float64).tiny / np.finfo(np.float64).eps
 
 
 @dataclass(frozen=True)
@@ -75,11 +93,41 @@ def resolve_svd_mode(k, p, n, mode):
     return mode
 
 
+def _gram_svd(m, k):
+    """The top w singular triplets (U, S, V) of the tall p x n matrix
+    ``m`` from eigh(m.T @ m), w being the number of eigenvalues GRAM_RTOL
+    resolves.  U = m V S^-1 is formed at the width w that m alone fixes,
+    so its first k columns do not depend on k.  None when k > w, or when
+    the Gram overflows or lies below _GRAM_MIN_SCALE (m's entries near
+    1e+-160 or beyond)."""
+    n = m.shape[1]
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        g = m.T @ m
+    if not (np.isfinite(g).all() and g.diagonal().max() >= _GRAM_MIN_SCALE):
+        return None
+    lam, v = np.linalg.eigh(g)
+    lam, v = lam[::-1], v[:, ::-1]
+    w = int(np.count_nonzero(lam > lam[0] * n * np.finfo(np.float64).eps / GRAM_RTOL))
+    if k > w:
+        return None
+    s = np.sqrt(lam[:w])
+    v = v[:, :w]
+    return m @ (v / s), s, v
+
+
 def truncated_svd(values, k, mode="auto", seed=0, oversample=10):
     """Top-k singular triplets of a p x n matrix.
 
     mode is "exact", "randomized", or "auto" (exact when min(p, n) <=
-    EXACT_SVD_MAX_DIM).  Randomized mode is a Halko range finder with
+    EXACT_SVD_MAX_DIM).  An exact request for k < n triplets of a tall
+    matrix (p >= n) takes the Gram path when k is at most the width w that
+    its Gram matrix resolves (``_gram_svd``); every other exact request,
+    one for all min(p, n) triplets included, is LAPACK's ``np.linalg.svd``.
+    The Gram path's singular values have a relative error of at most about
+    GRAM_RTOL, and its U columns are orthonormal, and agree with LAPACK's
+    up to sign, to about GRAM_RTOL / n; LAPACK's are good to a few eps.
+    Exact fits of one matrix nest bit for bit among all k < n up to w, and
+    among all wider k.  Randomized mode is a Halko range finder with
     ``oversample`` extra columns and two power iterations, deterministic
     given ``seed``.
     """
@@ -90,8 +138,13 @@ def truncated_svd(values, k, mode="auto", seed=0, oversample=10):
     mode = resolve_svd_mode(k, p, n, mode)
 
     if mode == "exact":
-        u, s, vt = np.linalg.svd(m, full_matrices=False)
-        u, v = _fix_signs(u[:, :k], vt[:k].T)
+        # a request for all n triplets keeps LAPACK's bytes
+        triplets = _gram_svd(m, k) if k < n <= p else None
+        if triplets is None:
+            u, s, vt = np.linalg.svd(m, full_matrices=False)
+            triplets = u, s, vt.T
+        u, s, v = triplets
+        u, v = _fix_signs(u[:, :k], v[:, :k])
         return SvdResult(U=u, S=s[:k], V=v)
 
     rng = np.random.default_rng(seed_sequence(seed))

@@ -102,7 +102,9 @@ class LabeledDataset:
 
     @cached_property
     def class_centered_svd(self):
-        """Exact SVD of the class-centered data, all min(p, n) triplets.
+        """Exact SVD of the class-centered data, all min(p, n) triplets:
+        a request for every triplet is LAPACK's SVD on every shape, so the
+        tall Gram path of truncated_svd never serves it.
 
         cached_property writes the instance __dict__ directly, so it works
         on a frozen dataclass.  Only this exact result is kept: a

@@ -128,13 +128,47 @@ def test_fit_lol_dimension_errors():
         fit_lol(ds, 6)
 
 
-def test_nesting_exact():
-    ds = two_class(seed=1)
+def _assert_exact_fits_nest(ds):
     for fit in (fit_lol, fit_pca, fit_rrlda, fit_qoq, fit_rlol):
         full = fit(ds, 6, seed=5)
         for r in (1, 3, 5):
             part = fit(ds, r, seed=5)
             assert np.array_equal(full.directions[:, :r], part.directions), fit.__name__
+
+
+def test_nesting_exact():
+    _assert_exact_fits_nest(two_class(seed=1))
+
+
+def test_nesting_exact_on_tall_data():
+    # 120 x 30: pca, rlol and qoq's class blocks take the Gram path
+    _assert_exact_fits_nest(two_class(seed=1, p=120, n=30))
+
+
+def _qoq_merge(svds, k):
+    # the (class, index) pairs qoq's merge picks from per-class SVDs
+    pairs = [(j, i) for j, r in enumerate(svds) for i in range(r.S.size)]
+    order = np.argsort(-np.concatenate([r.S for r in svds]), kind="stable")[:k]
+    return [pairs[o] for o in order]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_qoq_top_k_per_class_makes_the_all_triplets_choices(seed):
+    # cv_qda's fold shape: trunk3, p=1000, n=180, k=18 eigenvector columns
+    ds = sample(SimSpec("trunk3", 1000, 180, seed=seed)).dataset
+    k = 18
+    blocks = []
+    for j in range(ds.num_classes):
+        xc = ds.data.values[:, ds.labels == j]
+        blocks.append(xc - xc.mean(axis=1, keepdims=True))
+    top = [truncated_svd(xc, k, mode="exact") for xc in blocks]
+    every = [truncated_svd(xc, min(xc.shape), mode="exact") for xc in blocks]
+    picks = _qoq_merge(top, k)
+    assert picks == _qoq_merge(every, k)
+    eig = fit_qoq(ds, k + ds.num_classes - 1).directions[:, ds.num_classes - 1:]
+    assert np.array_equal(eig, np.column_stack([top[j].U[:, i] for j, i in picks]))
+    assert np.allclose(eig, np.column_stack([every[j].U[:, i] for j, i in picks]),
+                       rtol=0, atol=1e-10)
 
 
 def test_exact_lol_and_rrlda_are_the_rank_k_svd_of_the_class_centered_data():
@@ -144,9 +178,12 @@ def test_exact_lol_and_rrlda_are_the_rank_k_svd_of_the_class_centered_data():
     assert "class_centered_svd" in vars(ds)
 
     def rank_k_u(k):
+        # the leading k columns of the exact SVD of all min(p, n) triplets,
+        # LAPACK's on every shape; a k < n request of this tall matrix would
+        # take the Gram path
         fresh = LabeledDataset(DataMatrix(ds.data.values.copy()), ds.labels, ds.num_classes)
         centered = center_class_conditional(fresh, class_stats(fresh))
-        return truncated_svd(centered.values, k, mode="exact").U
+        return truncated_svd(centered.values, min(centered.values.shape), mode="exact").U[:, :k]
 
     delta = mean_difference_matrix(class_stats(ds))
     assert np.array_equal(lol.directions, np.hstack([delta, rank_k_u(5)]))

@@ -7,7 +7,9 @@ quadratic form, the class moments and the classifiers fitted from them,
 ``embed``, ``predict_lda``, ``predict_qda``, ``hotelling_two_sample``, and
 the quantile partition and regressions each return, or raise a
 LolkitError; nothing else may escape, and a fitted projection loads back
-from its file as it was saved.  Seeds are drawn around the valid range
+from its file as it was saved.  An exact ``truncated_svd`` of a tall
+matrix whose Gram matrix overflows or underflows returns LAPACK's
+triplets, with no numpy warning.  Seeds are drawn around the valid range
 (negative, a float, a numpy integer, a bool), sample counts around 1,
 Gaussian pairs whose means and covariances have lengths 1-3 that need not
 agree, labels that are fractional, non-finite or strings, targets that
@@ -32,6 +34,7 @@ from lolkit.classifiers import (
 )
 from lolkit.embeddings import embed, load_projection, save_projection
 from lolkit.errors import LolkitError
+from lolkit.linalg import _fix_signs, truncated_svd
 from lolkit.extensions import (
     hotelling_two_sample,
     lol_regression,
@@ -50,6 +53,9 @@ WIDE_ENTRIES = st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0, 1e200, -1e200])
 LABELS = st.sampled_from([0, 1, 2, 1.0, 0.5, -1, 3, np.nan, np.inf, "a"])
 TARGETS = st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0, 1e300, -1e300, np.nan, np.inf, -np.inf])
 EXTREMES = st.sampled_from([-1.0, 0.0, 1.0, 1e200, -1e200, np.nan, np.inf])
+# scales at which every nonzero ENTRIES square overflows, or rounds to a
+# subnormal or to zero
+GRAM_EXTREME_SCALES = st.sampled_from([1e160, -1e160, 1e-160, 1e200, -1e200, 1e-200])
 TESTING_FAMILIES = ("toeplitz_diag", "toeplitz_dense", "trunk", "stacked_cigars")
 
 
@@ -232,3 +238,19 @@ def test_embed_predict_and_hotelling_return_or_raise_a_lolkit_error(data):
             test_x = draw(st.sampled_from([ds.p, ds.p, ds.p, ds.p - 1, ds.p + 1]).flatmap(arrays),
                           label="test x")
             _returns_or_raises_lolkit_error(lambda: predict(clf, DataMatrix(test_x)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_exact_svd_of_an_extreme_tall_matrix_is_lapacks_or_a_lolkit_error(data):
+    draw = data.draw
+    n = draw(st.integers(1, 4), label="n")
+    p = draw(st.integers(n, 3 * n + 4), label="p")
+    m = draw(matrices(p, n), label="matrix") * draw(GRAM_EXTREME_SCALES, label="scale")
+    k = draw(st.integers(1, n), label="k")
+    res = _returns_or_raises_lolkit_error(truncated_svd, m, k, mode="exact")
+    if res is not None:
+        u, s, vt = np.linalg.svd(m, full_matrices=False)
+        u, v = _fix_signs(u[:, :k], vt[:k].T)
+        assert [a.tobytes() for a in (res.U, res.S, res.V)] == [
+            a.tobytes() for a in (u, s[:k], v)]

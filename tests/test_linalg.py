@@ -5,12 +5,21 @@ import pytest
 
 from lolkit.errors import CcaRankExceeded, NonFiniteData, RankRequestTooLarge, ShapeMismatch
 from lolkit.linalg import (
+    GRAM_RTOL,
+    _fix_signs,
+    _gram_svd,
     implicit_cca_eigs,
     random_rotation,
     sparse_random_columns,
     truncated_svd,
 )
-from lolkit.model import DataMatrix, LabeledDataset, center_pooled, class_stats
+from lolkit.model import (
+    DataMatrix,
+    LabeledDataset,
+    center_class_conditional,
+    center_pooled,
+    class_stats,
+)
 
 
 def test_svd_diagonal():
@@ -80,6 +89,85 @@ def test_svd_randomized_deterministic():
     a = truncated_svd(m, 3, mode="randomized", seed=9)
     b = truncated_svd(m, 3, mode="randomized", seed=9)
     assert np.array_equal(a.U, b.U)
+
+
+def _lapack_svd(m, k):
+    # truncated_svd's LAPACK path: np.linalg.svd, then the sign convention
+    u, s, vt = np.linalg.svd(m, full_matrices=False)
+    u, v = _fix_signs(u[:, :k], vt[:k].T)
+    return u, s[:k], v
+
+
+def _assert_same_bytes(res, triplets):
+    for got, want in zip((res.U, res.S, res.V), triplets):
+        assert got.tobytes() == want.tobytes()
+
+
+def _spectrum_matrix(p, n, low, seed):
+    # p x n with singular values geomspace(1, low, n) and Haar-random vectors
+    rng = np.random.default_rng(seed)
+    left, _ = np.linalg.qr(rng.standard_normal((p, n)))
+    right, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return (left * np.geomspace(1.0, low, n)) @ right.T
+
+
+@pytest.mark.parametrize("p, n", [(200, 20), (60, 30), (30, 5), (10, 40), (7, 7)])
+def test_svd_of_every_triplet_is_lapacks_bytes(p, n):
+    # a request for all min(p, n) triplets never takes the Gram path, on a
+    # tall, well-conditioned matrix whose Gram resolves every one included
+    m = np.random.default_rng(p * n).standard_normal((p, n))
+    k = min(p, n)
+    _assert_same_bytes(truncated_svd(m, k, mode="exact"), _lapack_svd(m, k))
+
+
+def test_class_centered_svd_is_lapacks_bytes():
+    # the shared SVD behind exact lol and rrlda (and csv_wide's projection)
+    rng = np.random.default_rng(8)
+    ds = LabeledDataset(DataMatrix(rng.standard_normal((300, 40))), np.arange(40) % 3, 3)
+    centered = center_class_conditional(ds, class_stats(ds)).values
+    _assert_same_bytes(ds.class_centered_svd, _lapack_svd(centered, 40))
+
+
+# Stated tolerance of the Gram path on the spectra below: GRAM_RTOL bounds
+# a resolved eigenvalue's relative error, and U's orthonormality and
+# column error scale like GRAM_RTOL / n (measured at most 3e-9 here).
+GRAM_TOL = 1e-8
+
+
+@pytest.mark.parametrize("p, n, low", [(400, 40, 1e-8), (1000, 160, 1e-8), (1000, 160, 1e-2),
+                                       (360, 120, 1e-5)])
+def test_gram_columns_are_orthonormal_and_near_lapacks(p, n, low):
+    m = _spectrum_matrix(p, n, low, seed=n)
+    w = _gram_svd(m, 1)[1].size
+    assert w == n if low == 1e-2 else w < n
+    # every resolved singular value clears the cutoff GRAM_RTOL sets
+    assert np.geomspace(1.0, low, n)[w - 1] ** 2 >= n * np.finfo(float).eps / GRAM_RTOL
+    # the widest request the Gram path serves: one for all n is LAPACK's
+    k = min(w, n - 1)
+    res = truncated_svd(m, k, mode="exact")
+    u, s, v = _gram_svd(m, k)
+    u, v = _fix_signs(u[:, :k], v[:, :k])
+    _assert_same_bytes(res, (u, s[:k], v))
+    lu, ls, lv = _lapack_svd(m, k)
+    assert np.abs(res.U.T @ res.U - np.eye(k)).max() <= GRAM_TOL
+    col_err = np.minimum(np.abs(res.U - lu).max(axis=0), np.abs(res.U + lu).max(axis=0))
+    assert col_err.max() <= GRAM_TOL
+    assert np.abs(res.S / ls - 1.0).max() <= GRAM_TOL
+
+
+def test_exact_svds_nest_bit_for_bit_up_to_the_resolved_width_and_past_it():
+    m = _spectrum_matrix(300, 30, 1e-8, seed=1)
+    w = _gram_svd(m, 1)[1].size
+    assert 1 < w < 28
+    widest = truncated_svd(m, w, mode="exact")
+    for k in range(1, w):
+        _assert_same_bytes(truncated_svd(m, k, mode="exact"),
+                           (widest.U[:, :k], widest.S[:k], widest.V[:, :k]))
+    # past w the request is LAPACK's, and those fits nest among themselves
+    past = truncated_svd(m, w + 2, mode="exact")
+    _assert_same_bytes(past, _lapack_svd(m, w + 2))
+    _assert_same_bytes(truncated_svd(m, w + 1, mode="exact"),
+                       (past.U[:, :w + 1], past.S[:w + 1], past.V[:, :w + 1]))
 
 
 def test_sparse_random_p1():
