@@ -26,9 +26,7 @@ from .embeddings import (
     save_projection,
 )
 from .classifiers import (
-    ClassMoments,
     bayes_error_two_class,
-    class_moments,
     fit_lda,
     fit_qda,
     misclassification_rate,

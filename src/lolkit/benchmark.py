@@ -25,7 +25,6 @@ import numpy as np
 from . import embeddings as emb
 from .classifiers import (
     _predict_by_width,
-    class_moments,
     fit_lda,
     fit_qda,
     misclassification_rate,
@@ -552,8 +551,7 @@ def sweep(plan: FoldPlan, algorithms, d_max, classifier="lda"):
                 for width in sorted({1, min(proj.d, train_ds.n)}):
                     try:
                         pre = proj.prefix(width)
-                        clf = fit_cls(class_moments(emb.embed(pre, train_ds.data),
-                                                    train_ds.labels, c))
+                        clf = fit_cls(emb.embed(pre, train_ds.data), train_ds.labels, c)
                         z_test = emb.embed(pre, test)
                         if width == 1:
                             tag_rates[j, 0] = misclassification_rate(predict(clf, z_test), y[te])

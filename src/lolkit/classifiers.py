@@ -26,7 +26,7 @@ from scipy.linalg.lapack import dtrtrs
 from .chernoff import projected_chernoff_quadform
 from .errors import NonFiniteData, ShapeMismatch, UnderdeterminedClassifier
 from .linalg import _cholesky
-from .model import DataMatrix, GaussianModel, gaussian_noise, label_counts
+from .model import DataMatrix, GaussianModel, label_counts
 
 RIDGE_REL = 1e-8
 
@@ -54,36 +54,21 @@ class GaussianClassifier:
     _logdets: np.ndarray     # (C, d), log det of each leading r x r block
 
 
-@dataclass(frozen=True)
-class ClassMoments:
-    """Class statistics of d x n training rows: what LDA and QDA fit from."""
-
-    counts: np.ndarray       # (C,)
-    priors: np.ndarray       # (C,)
-    means: np.ndarray        # (d, C)
-    centered: np.ndarray     # (d, n), x - means[:, labels]
-    blocks: tuple            # centered[:, labels == j] for each class j
-
-
-def class_moments(embedded: DataMatrix, labels, num_classes=None) -> ClassMoments:
-    """The ClassMoments of a training set; C is ``num_classes`` or the
-    largest label plus one.  Labels that do not fit raise ShapeMismatch or
-    EmptyClass (see model.label_counts)."""
+def _class_moments(embedded: DataMatrix, labels, num_classes):
+    """Counts, class column masks, class means and class-centered rows of
+    d x n training rows.  Labels that do not fit raise ShapeMismatch or
+    EmptyClass (see model.label_counts), and d > n raises
+    UnderdeterminedClassifier."""
     x = embedded.values
     labels, counts = label_counts(labels, x.shape[1], num_classes)
-    masks = [labels == j for j in range(counts.size)]
-    means = np.empty((x.shape[0], counts.size))
-    for j, mask in enumerate(masks):
-        means[:, j] = x[:, mask].mean(axis=1)
-    centered = x - means[:, labels]
-    return ClassMoments(counts, counts / x.shape[1], means, centered,
-                        tuple(centered[:, mask] for mask in masks))
-
-
-def _check_determined(moments: ClassMoments):
-    d, n = moments.centered.shape
+    d, n = x.shape
     if d > n:
         raise UnderdeterminedClassifier(f"d={d} exceeds n={n}")
+    masks = [labels == j for j in range(counts.size)]
+    means = np.empty((d, counts.size))
+    for j, mask in enumerate(masks):
+        means[:, j] = x[:, mask].mean(axis=1)
+    return counts, masks, means, x - means[:, labels]
 
 
 def _predict_by_width(clf: GaussianClassifier, embedded: DataMatrix):
@@ -116,31 +101,35 @@ def _predict(clf: GaussianClassifier, embedded: DataMatrix):
 
 # LDA and QDA keep their own entry points: profilers tell them apart by function.
 
-def fit_lda(moments: ClassMoments) -> GaussianClassifier:
-    """LDA: one pooled within-class covariance."""
-    _check_determined(moments)
-    centered = moments.centered
+def fit_lda(embedded: DataMatrix, labels, num_classes=None) -> GaussianClassifier:
+    """LDA on the d x n training rows ``embedded`` and their ``labels``,
+    with C = ``num_classes`` or the largest label plus one: one pooled
+    within-class covariance."""
+    counts, _, means, centered = _class_moments(embedded, labels, num_classes)
+    n = centered.shape[1]
     # a covariance that overflows reaches _cholesky, which raises NonFiniteData
     with np.errstate(over="ignore", invalid="ignore"):
-        cov = _ridge(centered @ centered.T / centered.shape[1])
+        cov = _ridge(centered @ centered.T / n)
     chol = _cholesky(cov)
-    d, c = moments.means.shape
-    return GaussianClassifier(moments.priors, moments.means, (cov,) * c, (chol,) * c,
-                              np.zeros((c, d)))
+    d, c = means.shape
+    return GaussianClassifier(counts / n, means, (cov,) * c, (chol,) * c, np.zeros((c, d)))
 
 
 def predict_lda(clf: GaussianClassifier, embedded: DataMatrix):
     return _predict(clf, embedded)
 
 
-def fit_qda(moments: ClassMoments) -> GaussianClassifier:
-    """QDA: one covariance per class."""
-    _check_determined(moments)
+def fit_qda(embedded: DataMatrix, labels, num_classes=None) -> GaussianClassifier:
+    """QDA, fitted as fit_lda is: one covariance per class."""
+    counts, masks, means, centered = _class_moments(embedded, labels, num_classes)
+    # one block array per class: numpy computes xc @ xc.T as a symmetric
+    # product only when both operands are the same array
+    blocks = (centered[:, mask] for mask in masks)
     with np.errstate(over="ignore", invalid="ignore"):
-        covs = tuple(_ridge(xc @ xc.T / k) for xc, k in zip(moments.blocks, moments.counts))
+        covs = tuple(_ridge(xc @ xc.T / k) for xc, k in zip(blocks, counts))
     chols = tuple(map(_cholesky, covs))
     logdets = np.array([np.cumsum(2.0 * np.log(np.diag(chol))) for chol in chols])
-    return GaussianClassifier(moments.priors, moments.means, covs, chols, logdets)
+    return GaussianClassifier(counts / centered.shape[1], means, covs, chols, logdets)
 
 
 def predict_qda(clf: GaussianClassifier, embedded: DataMatrix):
@@ -169,7 +158,3 @@ def bayes_error_two_class(model: GaussianModel, proj=None):
     from scipy.special import ndtr
     return float(ndtr(-0.5 * np.sqrt(quad)))
 
-
-def _sample_class(model: GaussianModel, c, n, rng):
-    z = rng.standard_normal((model.p, n))
-    return model.means[:, c, None] + gaussian_noise(model.covariance_of(c), z)

@@ -277,8 +277,10 @@ def fit_pls(dataset: LabeledDataset, d) -> Projection:
     """PLS2 weight vectors against one-hot class labels.
 
     X is pooled-centered and Y row-centered internally; successive
-    components deflate X, so the returned weight vectors are mutually
-    orthogonal.
+    components deflate X, so the returned weight vectors are orthogonal in
+    exact arithmetic.  In floating point the loss of orthogonality grows
+    with d: on trunk (p=1000, n=160, seed 0), max |W'W - I| is 2.7e-14 at
+    d=10, 8.6e-11 at d=20 and 2.9e-7 at d=30.
     """
     if d < 1:
         raise TooFewDims(f"d={d} below 1")

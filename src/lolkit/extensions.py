@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .benchmark import fit_projection
-from .classifiers import _sample_class
 from .embeddings import _pls_weights, embed
 from .errors import (
     DegenerateTarget,
@@ -25,7 +24,7 @@ from .errors import (
 )
 from .linalg import seed_sequence
 from .model import DataMatrix, LabeledDataset, Projection
-from .simulations import SimSpec, population_model
+from .simulations import SimSpec, _draw_class, population_model
 
 
 @dataclass(frozen=True)
@@ -97,8 +96,8 @@ def projected_test_power(spec: SimSpec, method, d, alpha=0.05, reps=200, seed=0,
         rs = int(seed_sequence(seed, rep).generate_state(1)[0])
         model = population_model(SimSpec(spec.family, spec.p, 2, rs, dict(spec.params)))
         rng = np.random.default_rng(seed_sequence(seed, rep, 1))
-        x0 = _sample_class(model, 0, m, rng)
-        x1 = _sample_class(model, 1, m, rng)
+        x0 = _draw_class(model, 0, rng.standard_normal((model.p, m)))
+        x1 = _draw_class(model, 1, rng.standard_normal((model.p, m)))
         if split:
             h = m // 2
             fit0, test0 = x0[:, :h], x0[:, h:]

@@ -185,6 +185,11 @@ def _build_model(spec: SimSpec, rng) -> GaussianModel:
     raise ShapeMismatch(f"family {spec.family!r} has no Gaussian class model")
 
 
+def _draw_class(model: GaussianModel, c, z):
+    """Columns of class c of ``model`` from standard normal columns ``z``."""
+    return model.means[:, c, None] + gaussian_noise(model.covariance_of(c), z)
+
+
 def population_model(spec: SimSpec) -> GaussianModel:
     """The exact population model a spec samples from, without drawing
     any data (same seed gives the same model as :func:`sample`)."""
@@ -234,5 +239,5 @@ def sample(spec: SimSpec) -> SimSample | RegressionSample:
         x = np.empty((p, n))
         for j in range(c):
             mask = y == j
-            x[:, mask] = model.means[:, j, None] + gaussian_noise(model.covariances[j], z[:, mask])
+            x[:, mask] = _draw_class(model, j, z[:, mask])
     return SimSample(LabeledDataset(DataMatrix(x), y, c), model)

@@ -19,9 +19,7 @@ from lolkit.chernoff import (
     projected_chernoff_quadform,
 )
 from lolkit.classifiers import (
-    _sample_class,
     bayes_error_two_class,
-    class_moments,
     fit_lda,
     fit_qda,
     misclassification_rate,
@@ -43,7 +41,7 @@ from lolkit.errors import LolkitError
 from lolkit.linalg import random_rotation
 from lolkit.extensions import projected_test_power
 from lolkit.model import DataMatrix, GaussianModel, LabeledDataset
-from lolkit.simulations import SimSpec, sample
+from lolkit.simulations import SimSpec, _draw_class, sample
 
 
 from conftest import SCORECARD
@@ -68,7 +66,7 @@ def split_sample(spec, n_train):
 
 def projected_lda_error(fitter, train, test_x, test_y, d):
     proj = fitter(train, d)
-    clf = fit_lda(class_moments(embed(proj, train.data), train.labels, train.num_classes))
+    clf = fit_lda(embed(proj, train.data), train.labels, train.num_classes)
     pred = predict_lda(clf, embed(proj, test_x))
     return misclassification_rate(pred, test_y)
 
@@ -188,16 +186,16 @@ def test_criterion_07_lda_rotation_invariance():
     y = np.tile([0, 1], 250)
     t = rng.standard_normal((5, 1000))
     q = random_rotation(5, seed=7)
-    base = predict_lda(fit_lda(class_moments(DataMatrix(x), y, 2)), DataMatrix(t))
-    rotated = predict_lda(fit_lda(class_moments(DataMatrix(q @ x), y, 2)), DataMatrix(q @ t))
+    base = predict_lda(fit_lda(DataMatrix(x), y, 2), DataMatrix(t))
+    rotated = predict_lda(fit_lda(DataMatrix(q @ x), y, 2), DataMatrix(q @ t))
     ok = np.array_equal(base, rotated)
     assert report(7, ok, "identical predictions on 1000 points after rotation")
 
 
 def fresh_inlier_error(proj, clf_fit, clf_predict, model, seed, per_class=500):
     rng = np.random.default_rng(np.random.SeedSequence((seed, 999)))
-    x0 = _sample_class(model, 0, per_class, rng)
-    x1 = _sample_class(model, 1, per_class, rng)
+    x0 = _draw_class(model, 0, rng.standard_normal((model.p, per_class)))
+    x1 = _draw_class(model, 1, rng.standard_normal((model.p, per_class)))
     test = DataMatrix(np.hstack([x0, x1]))
     truth = np.repeat([0, 1], per_class)
     return misclassification_rate(clf_predict(clf_fit, embed(proj, test)), truth)
@@ -209,7 +207,7 @@ def test_criterion_08_robust_and_cross_orderings():
         sim = sample(SimSpec("robust", 100, 100, seed=seed))
         for fitter, out in ((fit_lol, lol_rob), (fit_rlol, rlol_rob)):
             proj = fitter(sim.dataset, 5)
-            clf = fit_lda(class_moments(embed(proj, sim.inliers.data), sim.inliers.labels, 2))
+            clf = fit_lda(embed(proj, sim.inliers.data), sim.inliers.labels, 2)
             out.append(fresh_inlier_error(proj, clf, predict_lda,
                                           sim.model, seed))
     robust_margin = float(np.mean(lol_rob) - np.mean(rlol_rob))
@@ -220,7 +218,7 @@ def test_criterion_08_robust_and_cross_orderings():
             SimSpec("cross", 100, 1100, seed=seed), 100)
         lol_cross.append(projected_lda_error(fit_lol, train, test_x, test_y, 10))
         proj = fit_qoq(train, 10)
-        clf = fit_qda(class_moments(embed(proj, train.data), train.labels, 2))
+        clf = fit_qda(embed(proj, train.data), train.labels, 2)
         pred = predict_qda(clf, embed(proj, test_x))
         qoq_cross.append(misclassification_rate(pred, test_y))
     cross_margin = float(np.mean(lol_cross) - np.mean(qoq_cross))
@@ -242,7 +240,7 @@ def test_criterion_09_lfl_tracks_lol_spherical():
     errs = {alg: {d: [] for d in dims} for alg in ("lol", "lfl", "pca")}
     for seed in range(20):
         rng = np.random.default_rng(np.random.SeedSequence((9, seed)))
-        blocks = [_sample_class(model, c, 1000, rng) for c in (0, 1, 0, 1)]
+        blocks = [_draw_class(model, c, rng.standard_normal((p, 1000))) for c in (0, 1, 0, 1)]
         y = np.repeat([0, 1], 1000)
         train = LabeledDataset(DataMatrix(np.hstack(blocks[:2])), y, 2)
         test_x = DataMatrix(np.hstack(blocks[2:]))
@@ -251,7 +249,7 @@ def test_criterion_09_lfl_tracks_lol_spherical():
             proj = fitter(train, max(dims), seed=seed)
             for d in dims:
                 sub = proj.prefix(d)
-                clf = fit_lda(class_moments(embed(sub, train.data), y, 2))
+                clf = fit_lda(embed(sub, train.data), y, 2)
                 pred = predict_lda(clf, embed(sub, test_x))
                 errs[alg][d].append(misclassification_rate(pred, y))
     gap = max(abs(float(np.mean(errs["lfl"][d])) -

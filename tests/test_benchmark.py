@@ -300,7 +300,7 @@ def test_sweep_prefix_reuse_matches_per_r_refits():
     ds = trunk_dataset(p=15, n=80, seed=3)
     plan = make_fold_plan(ds, 3, seed=3)
     curves = sweep(plan, ["lol"], 5)
-    from lolkit.classifiers import class_moments, fit_lda, misclassification_rate, predict_lda
+    from lolkit.classifiers import fit_lda, misclassification_rate, predict_lda
     from lolkit.embeddings import embed
     for j in range(plan.k):
         tr = plan.train_subsets[j]
@@ -308,7 +308,7 @@ def test_sweep_prefix_reuse_matches_per_r_refits():
         train = LabeledDataset(DataMatrix(ds.data.values[:, tr]), ds.labels[tr], 2)
         for r in (1, 3, 5):
             proj = fit_projection("lol", train, r, "auto", plan.seed)
-            clf = fit_lda(class_moments(embed(proj, train.data), train.labels, 2))
+            clf = fit_lda(embed(proj, train.data), train.labels, 2)
             pred = predict_lda(clf, embed(proj, DataMatrix(ds.data.values[:, te])))
             rate = misclassification_rate(pred, ds.labels[te])
             assert abs(rate - curves[0].rates[j, r - 1]) < 1e-12
@@ -376,10 +376,10 @@ def test_sweep_records_linalg_failures_as_missing_cells(monkeypatch):
     real_fit_lda = benchmark.fit_lda
 
     def fit_lda_failing_at(width):
-        def fit(moments):
-            if moments.means.shape[0] == width:
+        def fit(embedded, labels, num_classes=None):
+            if embedded.p == width:
                 raise np.linalg.LinAlgError("leading minor not positive definite")
-            return real_fit_lda(moments)
+            return real_fit_lda(embedded, labels, num_classes)
         return fit
 
     # the full-width fit serves every r >= 2 cell, and r = 1 has its own
@@ -445,6 +445,12 @@ def test_normalized_report_rejects_a_curve_of_another_fold_count():
     with pytest.raises(ShapeMismatch, match="'pca' has 2 folds"):
         normalized_report([lol, ErrorCurve("pca", np.full((2, 2), 0.1))], plan)
     assert normalized_report([lol], plan)["n"] == 40
+    # one finite fold of 3 at r* = 2 is below k / 2; lol's 3 are not
+    sparse = ErrorCurve("sparse", np.array([[0.3, np.nan], [np.nan, np.nan], [np.nan, 0.2]]))
+    report = normalized_report([lol, sparse], plan)
+    assert report["algorithms"]["sparse"]["r_star"] == 2
+    assert report["algorithms"]["sparse"]["folds_ok_at_r_star"] == 1
+    assert report["flagged_low_coverage"] == ["sparse"]
 
 
 def test_normalized_report_hand_computed_two_folds():

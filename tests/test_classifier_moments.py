@@ -19,7 +19,6 @@ import pytest
 from lolkit import benchmark
 from lolkit.classifiers import (
     _predict_by_width,
-    class_moments,
     fit_lda,
     fit_qda,
     predict_lda,
@@ -58,12 +57,12 @@ def test_prefix_fits_equal_fits_on_a_fresh_copy(kind, c, one_thread):
         z = _embedding(rng, width, labels, c)
         test = _embedding(rng, width, np.arange(n_test) % c, c)
         with _blas(one_thread):
-            clf = fit(class_moments(DataMatrix(z), labels, c))
+            clf = fit(DataMatrix(z), labels, c)
             rows = _predict_by_width(clf, DataMatrix(test))
             assert rows.shape == (width, n_test)
             assert np.array_equal(predict(clf, DataMatrix(test)), rows[-1])
             for r in range(1, width + 1):
-                fresh = fit(class_moments(DataMatrix(z[:r].copy()), labels, c))
+                fresh = fit(DataMatrix(z[:r].copy()), labels, c)
                 want = predict(fresh, DataMatrix(test[:r].copy()))
                 assert np.array_equal(rows[r - 1], want), (width, n_train, r)
                 for j, cov in enumerate(clf.covariances):
@@ -80,7 +79,7 @@ def _two_class_rule(fit):
     rng = np.random.default_rng(7)
     labels = np.arange(40) % 2
     x = rng.standard_normal((3, 40)) + 4.0 * labels
-    return fit(class_moments(DataMatrix(x), labels, 2))
+    return fit(DataMatrix(x), labels, 2)
 
 
 @pytest.mark.parametrize("kind", ["lda", "qda"])
@@ -105,7 +104,7 @@ def test_predict_gives_a_point_some_class_scores_to_that_class():
     # the point finitely
     labels = np.array([0, 0, 0, 1, 1, 1])
     x = np.array([[0.0, 1e-100, -1e-100, 1.0, 2.0, 3.0]])
-    clf = fit_qda(class_moments(DataMatrix(x), labels, 2))
+    clf = fit_qda(DataMatrix(x), labels, 2)
     test = DataMatrix([[1e60, 2.0]])
     assert _predict_by_width(clf, test).tolist() == [[1, 1]]
     # no NonFiniteData: only a point that no class scores is refused
@@ -124,4 +123,4 @@ def test_predict_gives_a_point_some_class_scores_to_that_class():
 ])
 def test_labels_that_do_not_fit_are_lolkit_errors(labels, num_classes, error):
     with pytest.raises(error):
-        class_moments(DataMatrix(np.ones((3, 12))), np.array(labels), num_classes)
+        fit_lda(DataMatrix(np.ones((3, 12))), np.array(labels), num_classes)

@@ -5,7 +5,6 @@ from scipy.stats import norm
 
 from lolkit.classifiers import (
     bayes_error_two_class,
-    class_moments,
     fit_lda,
     fit_qda,
     misclassification_rate,
@@ -25,7 +24,7 @@ from lolkit.model import DataMatrix, GaussianModel
 def test_lda_1d_threshold_at_zero():
     x = DataMatrix(np.array([[-1.0, -1.2, -0.8, 1.0, 1.2, 0.8]]))
     y = np.array([0, 0, 0, 1, 1, 1])
-    clf = fit_lda(class_moments(x, y))
+    clf = fit_lda(x, y)
     eps = 1e-6
     assert predict_lda(clf, DataMatrix(np.array([[-eps]])))[0] == 0
     assert predict_lda(clf, DataMatrix(np.array([[eps]])))[0] == 1
@@ -37,7 +36,7 @@ def test_lda_nearest_mean_under_isotropy():
     y = np.array([0, 1] * (n // 2))
     means = np.array([[0.0, 3.0], [0.0, 0.0]])
     x = means[:, y] + rng.standard_normal((2, n))
-    clf = fit_lda(class_moments(DataMatrix(x), y))
+    clf = fit_lda(DataMatrix(x), y)
     test = np.array([[0.2, 2.8], [0.5, -0.5]])
     pred = predict_lda(clf, DataMatrix(test))
     m0 = clf.means[:, 0]
@@ -52,7 +51,7 @@ def test_lda_matches_hand_computed_discriminant():
     x = np.array([[0.0, 1.0, 2.0, 4.0, 5.0, 6.0],
                   [1.0, 0.0, -1.0, 1.0, 0.0, -1.0]])
     y = np.array([0, 0, 0, 1, 1, 1])
-    clf = fit_lda(class_moments(DataMatrix(x), y))
+    clf = fit_lda(DataMatrix(x), y)
     n = 6
     means = np.column_stack([x[:, :3].mean(axis=1), x[:, 3:].mean(axis=1)])
     centered = x - means[:, y]
@@ -69,7 +68,7 @@ def test_lda_matches_hand_computed_discriminant():
 
 def test_lda_underdetermined_error():
     with pytest.raises(UnderdeterminedClassifier):
-        fit_lda(class_moments(DataMatrix(np.zeros((5, 3))), np.array([0, 1, 1])))
+        fit_lda(DataMatrix(np.zeros((5, 3))), np.array([0, 1, 1]))
 
 
 def test_qda_agrees_with_density_oracle():
@@ -78,7 +77,7 @@ def test_qda_agrees_with_density_oracle():
     y = np.array([0, 1] * (n // 2))
     x = rng.standard_normal((3, n))
     x[:, y == 1] *= 2.5
-    clf = fit_qda(class_moments(DataMatrix(x), y))
+    clf = fit_qda(DataMatrix(x), y)
     test = rng.standard_normal((3, 25)) * 1.5
     pred = predict_qda(clf, DataMatrix(test))
     scores = np.empty((2, 25))
@@ -96,16 +95,16 @@ def test_predict_ties_and_priors():
     # symmetric midpoint with unequal priors goes to the higher-prior class
     x = DataMatrix(np.array([[-1.0, -1.0, -1.0, 1.0]]))
     y = np.array([0, 0, 0, 1])
-    clf = fit_lda(class_moments(x, y))
+    clf = fit_lda(x, y)
     assert predict_lda(clf, DataMatrix(np.array([[0.0]])))[0] == 0
     # exact ties resolve to the lowest class index
     x = DataMatrix(np.array([[-1.0, 1.0]]))
-    clf = fit_lda(class_moments(x, np.array([0, 1])))
+    clf = fit_lda(x, np.array([0, 1]))
     assert predict_lda(clf, DataMatrix(np.array([[0.0]])))[0] == 0
 
 
 def test_predict_shape_mismatch():
-    clf = fit_lda(class_moments(DataMatrix(np.array([[-1.0, 1.0]])), np.array([0, 1])))
+    clf = fit_lda(DataMatrix(np.array([[-1.0, 1.0]])), np.array([0, 1]))
     with pytest.raises(ShapeMismatch):
         predict_lda(clf, DataMatrix(np.zeros((2, 3))))
 
@@ -129,6 +128,9 @@ def test_bayes_error_closed_form_values():
     assert abs(bayes_error_two_class(m) - norm.cdf(-1.0)) < 1e-12
     m = _model([0.0, 0.0], np.eye(2))
     assert abs(bayes_error_two_class(m) - 0.5) < 1e-12
+    unequal = GaussianModel(np.array([0.3, 0.7]), m.means, m.covariances)
+    with pytest.raises(ShapeMismatch, match="equal priors"):
+        bayes_error_two_class(unequal)
 
 
 def test_bayes_error_closed_form_is_bit_equal_to_norm_cdf():
@@ -190,16 +192,15 @@ def test_bayes_error_ridges_a_singular_covariance_but_not_a_zero_projection():
 # every value below squares to inf, so each covariance overflows
 @pytest.mark.parametrize("fit", [fit_lda, fit_qda])
 def test_a_covariance_that_overflows_is_non_finite_data_without_a_warning(fit):
-    moments = class_moments(DataMatrix([[1e200, -1e200, 2e200, 0.0]]), [0, 0, 1, 1])
     with pytest.raises(NonFiniteData):
-        fit(moments)
+        fit(DataMatrix([[1e200, -1e200, 2e200, 0.0]]), [0, 0, 1, 1])
 
 
 @pytest.mark.parametrize("fit, predict", [(fit_lda, predict_lda), (fit_qda, predict_qda)])
 def test_a_point_whose_distance_to_every_class_overflows_is_non_finite_data(fit, predict):
     # argmax of all -inf scores would give class 0, though the points lie
     # on class 1's side
-    clf = fit(class_moments(DataMatrix([[1.0, 2.0, 3.0, 5.0]]), [0, 0, 1, 1]))
+    clf = fit(DataMatrix([[1.0, 2.0, 3.0, 5.0]]), [0, 0, 1, 1])
     with pytest.raises(NonFiniteData, match="overflows"):
         predict(clf, DataMatrix([[1e200, -1e200, 1e300]]))
     assert predict(clf, DataMatrix([[10.0, 0.0]])).tolist() == [1, 0]
@@ -213,8 +214,8 @@ def test_lda_rotation_invariance():
     x[0] += 1.5 * y
     q = random_rotation(p, 17)
     test = rng.standard_normal((p, 1000))
-    base = predict_lda(fit_lda(class_moments(DataMatrix(x), y)), DataMatrix(test))
-    rot = predict_lda(fit_lda(class_moments(DataMatrix(q @ x), y)), DataMatrix(q @ test))
+    base = predict_lda(fit_lda(DataMatrix(x), y), DataMatrix(test))
+    rot = predict_lda(fit_lda(DataMatrix(q @ x), y), DataMatrix(q @ test))
     assert np.array_equal(base, rot)
 
 

@@ -377,6 +377,15 @@ def test_pls_one_component_matches_cross_covariance():
                np.linalg.norm(proj.directions[:, 0] + w)) < 1e-8
 
 
+def test_fit_pls_refuses_more_components_than_min_p_n_minus_1():
+    for p, n in ((5, 40), (12, 6)):
+        ds = two_class(p=p, n=n)
+        limit = min(p, n - 1)
+        assert fit_pls(ds, limit).d == limit
+        with pytest.raises(TooFewDims, match=f"exceeds min\\(p, n-1\\)={limit}"):
+            fit_pls(ds, limit + 1)
+
+
 def test_pls_constant_features_are_a_degenerate_target():
     # centered X is zero, so the first cross-product with the labels is too
     ds = make_dataset(np.ones((4, 10)), np.arange(10) % 2)

@@ -69,6 +69,8 @@ def test_hotelling_p_value_is_bit_equal_to_scipy_stats_f_sf(monkeypatch):
 def test_hotelling_underdetermined():
     with pytest.raises(UnderdeterminedTest):
         hotelling_two_sample(DataMatrix(np.zeros((5, 3))), DataMatrix(np.zeros((5, 3))))
+    with pytest.raises(ShapeMismatch, match="dimension mismatch: 2 vs 3"):
+        hotelling_two_sample(DataMatrix(np.zeros((2, 5))), DataMatrix(np.zeros((3, 5))))
 
 
 @pytest.mark.parametrize("e0, e1", [

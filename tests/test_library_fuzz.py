@@ -3,7 +3,7 @@
 
 The seeded fits, ``make_fold_plan``, the simulation samplers, the
 closed-form Bayes error, ``projected_test_power``, the Chernoff gaps and
-quadratic form, the class moments and the classifiers fitted from them,
+quadratic form, the classifiers fitted from labelled data,
 ``embed``, ``predict_lda``, ``predict_qda``, ``hotelling_two_sample``, and
 the quantile partition and regressions each return, or raise a
 LolkitError; nothing else may escape, and a fitted projection loads back
@@ -26,7 +26,6 @@ from lolkit import chernoff
 from lolkit.benchmark import ALGORITHMS, fit_projection, make_fold_plan
 from lolkit.classifiers import (
     bayes_error_two_class,
-    class_moments,
     fit_lda,
     fit_qda,
     predict_lda,
@@ -185,14 +184,12 @@ def test_labels_and_targets_return_or_raise_a_lolkit_error(data):
     x = DataMatrix(draw(matrices(p, n, WIDE_ENTRIES), label="x"))
     labels = draw(label_vectors(n), label="labels")
     num_classes = draw(st.sampled_from([None, 0, 2, 3]), label="num_classes")
-    moments = _returns_or_raises_lolkit_error(class_moments, x, labels, num_classes)
-    if moments is not None:
-        test_x = DataMatrix(draw(st.integers(1, 3).flatmap(
-            lambda m: matrices(p, m, WIDE_ENTRIES)), label="test x"))
-        for fit, predict in ((fit_lda, predict_lda), (fit_qda, predict_qda)):
-            clf = _returns_or_raises_lolkit_error(fit, moments)
-            if clf is not None:
-                _returns_or_raises_lolkit_error(predict, clf, test_x)
+    test_x = DataMatrix(draw(st.integers(1, 3).flatmap(
+        lambda m: matrices(p, m, WIDE_ENTRIES)), label="test x"))
+    for fit, predict in ((fit_lda, predict_lda), (fit_qda, predict_qda)):
+        clf = _returns_or_raises_lolkit_error(fit, x, labels, num_classes)
+        if clf is not None:
+            _returns_or_raises_lolkit_error(predict, clf, test_x)
     y = draw(targets(n), label="target")
     _returns_or_raises_lolkit_error(quantile_partition, y, draw(st.integers(-1, n + 1), label="K"))
     d = draw(st.integers(-1, p + 1), label="d")
@@ -231,9 +228,8 @@ def test_embed_predict_and_hotelling_return_or_raise_a_lolkit_error(data):
     e1 = draw(other_p.flatmap(arrays), label="e1")
     _returns_or_raises_lolkit_error(lambda: hotelling_two_sample(DataMatrix(e0), DataMatrix(e1)))
     ds = draw(datasets(), label="training set")
-    moments = class_moments(ds.data, ds.labels, ds.num_classes)
     for fit, predict in ((fit_lda, predict_lda), (fit_qda, predict_qda)):
-        clf = _returns_or_raises_lolkit_error(fit, moments)
+        clf = _returns_or_raises_lolkit_error(fit, ds.data, ds.labels, ds.num_classes)
         if clf is not None:
             test_x = draw(st.sampled_from([ds.p, ds.p, ds.p, ds.p - 1, ds.p + 1]).flatmap(arrays),
                           label="test x")

@@ -167,6 +167,10 @@ def test_gaussian_model_validation():
                       (np.array([[1.0, 5.0], [0.0, 1.0]]),))
     with pytest.raises(ShapeMismatch):  # a negative variance cannot be sampled
         GaussianModel(np.array([0.5, 0.5]), np.zeros((2, 2)), (np.array([1.0, -1.0]),))
+    with pytest.raises(ShapeMismatch, match="expected 2 covariance"):
+        GaussianModel(np.array([0.5, 0.5]), np.zeros((2, 2)), (np.ones(2),), shared=False)
+    with pytest.raises(ShapeMismatch, match="dense .2-D. or diagonal"):
+        GaussianModel(np.array([0.5, 0.5]), np.zeros((2, 2)), (np.ones((2, 2, 1)),))
     m = GaussianModel(np.array([0.5, 0.5]), np.zeros((2, 2)),
                       (np.ones(2), 2 * np.ones(2)), shared=False)
     assert m.covariance_of(1)[0] == 2.0

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from lolkit.benchmark import make_fold_plan
-from lolkit.classifiers import class_moments, fit_qda, misclassification_rate, predict_qda
+from lolkit.classifiers import fit_qda, misclassification_rate, predict_qda
 from lolkit.embeddings import embed, fit_pls
 from lolkit.errors import DegenerateTarget, LolkitError, TooFewDims
 from lolkit.extensions import EmbeddedRegression, pls1_regression
@@ -152,8 +152,7 @@ def test_qda_error_rates_match_nipals_on_cv_qda_folds(seed0_folds):
             rates = []
             for proj in (new, ref):
                 pre = proj.prefix(r)
-                moments = class_moments(embed(pre, train.data), train.labels, train.num_classes)
-                clf = fit_qda(moments)
+                clf = fit_qda(embed(pre, train.data), train.labels, train.num_classes)
                 rates.append(misclassification_rate(predict_qda(clf, embed(pre, test)), truth))
             assert rates[0] == rates[1], (r, rates)
 

@@ -20,7 +20,6 @@ from hypothesis import given, settings, strategies as st
 
 from lolkit import extensions
 from lolkit.benchmark import _stratified_subsample
-from lolkit.classifiers import _sample_class
 from lolkit.errors import LolkitError, PTooSmall, ShapeMismatch
 from lolkit.extensions import projected_test_power
 from lolkit.model import DataMatrix, GaussianModel, LabeledDataset, jittered_cholesky
@@ -31,6 +30,7 @@ from lolkit.simulations import (
     SimSpec,
     _binary_labels,
     _build_model,
+    _draw_class,
     _toeplitz_sigma,
     population_model,
     sample,
@@ -115,6 +115,12 @@ def reference_sample_class(model: GaussianModel, c, n, rng):
     return mean[:, None] + jittered_cholesky(cov) @ rng.standard_normal((model.p, n))
 
 
+def reference_draw_class(model: GaussianModel, c, z):
+    # the earlier sampler, fed the standard normals it would have drawn
+    replay = SimpleNamespace(standard_normal=lambda _: z)
+    return reference_sample_class(model, c, z.shape[1], replay)
+
+
 def reference_stratified_subsample(indices, labels, size, rng):
     # proportional allocation with at least one sample per class present
     classes = np.unique(labels[indices])
@@ -196,7 +202,7 @@ def test_sample_class_matches_the_per_branch_sampler(family, p):
     got_rng, want_rng = np.random.default_rng(5), np.random.default_rng(5)
     for c in range(model.num_classes):
         for n in (1, 40):
-            got = _sample_class(model, c, n, got_rng)
+            got = _draw_class(model, c, got_rng.standard_normal((model.p, n)))
             want = reference_sample_class(model, c, n, want_rng)
             assert _same(got, want), (c, n)
 
@@ -206,7 +212,7 @@ def test_sample_class_matches_the_per_branch_sampler(family, p):
 def test_projected_test_power_is_unchanged(monkeypatch, family, split):
     spec = SimSpec(family, 10, 24, seed=2)
     got = [projected_test_power(spec, m, 2, reps=8, seed=4, split=split) for m in ("lol", "rp")]
-    monkeypatch.setattr(extensions, "_sample_class", reference_sample_class)
+    monkeypatch.setattr(extensions, "_draw_class", reference_draw_class)
     want = [projected_test_power(spec, m, 2, reps=8, seed=4, split=split) for m in ("lol", "rp")]
     assert got == want
 

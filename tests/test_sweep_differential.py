@@ -30,7 +30,6 @@ from lolkit.benchmark import (
     sweep,
 )
 from lolkit.classifiers import (
-    class_moments,
     fit_lda,
     fit_qda,
     misclassification_rate,
@@ -72,8 +71,7 @@ def reference_sweep(dataset: LabeledDataset, algorithms, d_max, plan: FoldPlan, 
                 for r in range(1, min(d_max, proj.d) + 1):
                     try:
                         pre = proj.prefix(r)
-                        moments = class_moments(emb.embed(pre, train_ds.data), train_ds.labels, c)
-                        clf = fit_cls(moments)
+                        clf = fit_cls(emb.embed(pre, train_ds.data), train_ds.labels, c)
                         pred = predict(clf, emb.embed(pre, test))
                         tag_rates[j, r - 1] = misclassification_rate(pred, y[te])
                     except _CELL_ERRORS:
